@@ -8,9 +8,18 @@
 //! wall-time column and (across lane widths) the lane-width column, which
 //! the comparisons blank.
 
+use analysis::table::Table;
 use bench::{registry, Scale, SEED};
 use runner::manifest::{manifest_table, LANES_COLUMN, WALL_MS_COLUMN};
+use runner::seed::fnv1a;
 use runner::{execute, RunConfig, ScenarioRun};
+
+/// The committed digests of every registry output at `Scale::Quick`.
+const GOLDEN_QUICK: &str = include_str!("golden_quick.txt");
+
+/// Manifest columns whose values depend on the host or the execution
+/// strategy rather than on the results; the manifest digest skips them.
+const UNDIGESTED_COLUMNS: [&str; 2] = ["wall (ms)", "lanes"];
 
 fn run_all(threads: usize, lanes: usize, scale: Scale) -> Vec<ScenarioRun> {
     let registry = registry();
@@ -110,6 +119,53 @@ fn tables_and_manifest_are_identical_across_lane_widths() {
             "manifest differs between lanes=1 and lanes=4 at {threads} threads"
         );
     }
+}
+
+/// The golden-file text for a run: one `<stem> <digest>` line per output
+/// table (FNV-1a-64 of its JSON) plus one line for the manifest's
+/// deterministic columns, selected by header name.
+fn golden_digests(runs: &[ScenarioRun]) -> String {
+    let mut text = String::from(
+        "# FNV-1a-64 of Table::to_json() per registry output stem at seed 2022,\n\
+         # Scale::Quick, 1 thread. `manifest` covers its deterministic columns.\n",
+    );
+    for run in runs {
+        for (stem, table) in &run.tables {
+            text.push_str(&format!("{stem} {:016x}\n", fnv1a(&table.to_json())));
+        }
+    }
+    let manifest = manifest_table(runs);
+    let keep: Vec<usize> = (0..manifest.headers.len())
+        .filter(|&i| !UNDIGESTED_COLUMNS.contains(&manifest.headers[i].as_str()))
+        .collect();
+    let headers: Vec<&str> = keep.iter().map(|&i| manifest.headers[i].as_str()).collect();
+    let mut deterministic = Table::new(manifest.title.clone(), &headers);
+    for row in &manifest.rows {
+        deterministic.push_row(keep.iter().map(|&i| row[i].clone()));
+    }
+    text.push_str(&format!(
+        "manifest {:016x}\n",
+        fnv1a(&deterministic.to_json())
+    ));
+    text
+}
+
+/// Pins every registry table and the manifest's deterministic columns to
+/// the committed digests, so a refactor that changes any output byte fails
+/// here. On an intended change, replace `golden_quick.txt` with the text the
+/// assertion prints.
+#[test]
+fn tables_and_manifest_match_the_golden_digests() {
+    let runs = run_all(1, 1, Scale::Quick);
+    for run in &runs {
+        assert!(run.error.is_none(), "{} failed: {:?}", run.id, run.error);
+    }
+    let actual = golden_digests(&runs);
+    assert!(
+        actual == GOLDEN_QUICK,
+        "registry outputs differ from crates/bench/tests/golden_quick.txt; \
+         if the change is intended, replace the file with:\n{actual}"
+    );
 }
 
 #[test]
