@@ -1,54 +1,48 @@
-//! Thread-count and lane-width invariance of the whole registry.
+//! Thread-count invariance of the whole registry, and its golden digests.
 //!
 //! The tentpole contract of the runner: from one root seed, `repro run all`
-//! must produce byte-identical tables and manifest at any `--threads` and
-//! `--lanes` value, because every point's seed is derived before execution,
-//! assembly is in point order, and lane batches are bit-identical to
-//! per-point execution. The only tolerated differences are the manifest's
-//! wall-time column and (across lane widths) the lane-width column, which
-//! the comparisons blank.
+//! must produce byte-identical tables and manifest at any `--threads` value,
+//! because every point's seed is derived before execution and assembly is in
+//! point order. The only tolerated difference is the manifest's wall-time
+//! column, which the comparisons blank.
 
 use analysis::table::Table;
 use bench::{registry, Scale, SEED};
-use runner::manifest::{manifest_table, LANES_COLUMN, WALL_MS_COLUMN};
+use runner::manifest::{manifest_table, WALL_MS_COLUMN};
 use runner::seed::fnv1a;
 use runner::{execute, RunConfig, ScenarioRun};
 
 /// The committed digests of every registry output at `Scale::Quick`.
 const GOLDEN_QUICK: &str = include_str!("golden_quick.txt");
 
-/// Manifest columns whose values depend on the host or the execution
-/// strategy rather than on the results; the manifest digest skips them.
-const UNDIGESTED_COLUMNS: [&str; 2] = ["wall (ms)", "lanes"];
+/// The manifest column whose value depends on the host rather than on the
+/// results; the manifest digest skips it.
+const UNDIGESTED_COLUMN: &str = "wall (ms)";
 
-fn run_all(threads: usize, lanes: usize, scale: Scale) -> Vec<ScenarioRun> {
+fn run_all(threads: usize, scale: Scale) -> Vec<ScenarioRun> {
     let registry = registry();
     let selected = registry.select(&["all".to_owned()]).expect("all matches");
     let config = RunConfig {
         scale,
         threads,
         root_seed: SEED,
-        lanes,
         progress: false,
     };
     execute(&selected, &config)
 }
 
-/// The manifest JSON with the non-deterministic wall-time column blanked;
-/// the lane-width column is blanked too so manifests are comparable across
-/// `--lanes` values (lane width is an execution strategy, not a result).
+/// The manifest JSON with the non-deterministic wall-time column blanked.
 fn normalized_manifest(runs: &[ScenarioRun]) -> String {
     let mut table = manifest_table(runs);
     for row in &mut table.rows {
         row[WALL_MS_COLUMN] = String::new();
-        row[LANES_COLUMN] = String::new();
     }
     table.to_json()
 }
 
 fn assert_thread_count_invariant(scale: Scale) {
-    let serial = run_all(1, 1, scale);
-    let parallel = run_all(8, 1, scale);
+    let serial = run_all(1, scale);
+    let parallel = run_all(8, scale);
 
     for run in serial.iter().chain(&parallel) {
         assert!(run.error.is_none(), "{} failed: {:?}", run.id, run.error);
@@ -86,41 +80,6 @@ fn tables_and_manifest_are_identical_at_full_scale_too() {
     assert_thread_count_invariant(Scale::Full);
 }
 
-/// The lane-equivalence smoke: the whole registry at the auto lane width
-/// (4), at 1 and 8 threads, is byte-identical to the serial lanes=1 run —
-/// tables and normalized manifest alike. This is the executable form of the
-/// `run_batch` contract for every lane-eligible scenario at once.
-#[test]
-fn tables_and_manifest_are_identical_across_lane_widths() {
-    let serial = run_all(1, 1, Scale::Quick);
-    for threads in [1, 8] {
-        let laned = run_all(threads, 4, Scale::Quick);
-        for run in &laned {
-            assert!(run.error.is_none(), "{} failed: {:?}", run.id, run.error);
-        }
-        assert_eq!(serial.len(), laned.len());
-        for (s, l) in serial.iter().zip(&laned) {
-            assert_eq!(s.id, l.id);
-            for ((s_stem, s_table), (l_stem, l_table)) in s.tables.iter().zip(&l.tables) {
-                assert_eq!(s_stem, l_stem);
-                assert_eq!(
-                    s_table.to_json(),
-                    l_table.to_json(),
-                    "scenario {} table {} differs between lanes=1 and lanes=4 \
-                     at {threads} threads",
-                    s.id,
-                    s_stem
-                );
-            }
-        }
-        assert_eq!(
-            normalized_manifest(&serial),
-            normalized_manifest(&laned),
-            "manifest differs between lanes=1 and lanes=4 at {threads} threads"
-        );
-    }
-}
-
 /// The golden-file text for a run: one `<stem> <digest>` line per output
 /// table (FNV-1a-64 of its JSON) plus one line for the manifest's
 /// deterministic columns, selected by header name.
@@ -136,7 +95,7 @@ fn golden_digests(runs: &[ScenarioRun]) -> String {
     }
     let manifest = manifest_table(runs);
     let keep: Vec<usize> = (0..manifest.headers.len())
-        .filter(|&i| !UNDIGESTED_COLUMNS.contains(&manifest.headers[i].as_str()))
+        .filter(|&i| manifest.headers[i] != UNDIGESTED_COLUMN)
         .collect();
     let headers: Vec<&str> = keep.iter().map(|&i| manifest.headers[i].as_str()).collect();
     let mut deterministic = Table::new(manifest.title.clone(), &headers);
@@ -156,7 +115,7 @@ fn golden_digests(runs: &[ScenarioRun]) -> String {
 /// assertion prints.
 #[test]
 fn tables_and_manifest_match_the_golden_digests() {
-    let runs = run_all(1, 1, Scale::Quick);
+    let runs = run_all(1, Scale::Quick);
     for run in &runs {
         assert!(run.error.is_none(), "{} failed: {:?}", run.id, run.error);
     }
@@ -170,7 +129,7 @@ fn tables_and_manifest_match_the_golden_digests() {
 
 #[test]
 fn manifest_lists_every_registered_scenario_exactly_once() {
-    let runs = run_all(4, 1, Scale::Quick);
+    let runs = run_all(4, Scale::Quick);
     let table = manifest_table(&runs);
     let registry = registry();
     assert_eq!(table.len(), registry.scenarios().len());

@@ -19,8 +19,6 @@
 //! * [`process`] / [`memlayout`] — separate address spaces (no shared memory)
 //!   and the construction of target-set lines and replacement sets from
 //!   virtual addresses.
-//! * [`pointer_chase`] — the randomly permuted, serialised measurement walk
-//!   of the paper's Figure 3.
 //! * [`sched`] — OS interruption noise, the source of bit-insertion and
 //!   bit-loss errors.
 //! * [`noise`] / [`workload`] — noisy-cache-line injectors (Figure 8) and the
@@ -61,12 +59,10 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod lanes;
 pub mod machine;
 pub mod memlayout;
 pub mod noise;
 pub mod perf;
-pub mod pointer_chase;
 pub mod process;
 pub mod program;
 pub mod sched;
@@ -78,16 +74,14 @@ pub mod workload;
 
 /// Convenient glob-import of the most frequently used types.
 pub mod prelude {
-    pub use crate::lanes::{LaneMachine, LaneSession};
     pub use crate::machine::{Machine, MachineConfig, RunSummary};
     pub use crate::memlayout::{ChannelLayout, SetLines};
     pub use crate::perf::{PerfCounters, PerfLevel};
-    pub use crate::pointer_chase::PointerChase;
     pub use crate::process::{AddressSpace, Process, ProcessId};
     pub use crate::program::{Action, Actor, Completion, ScriptedActor};
     pub use crate::sched::InterruptConfig;
     pub use crate::session::{Measurement, ProgramReport, SessionReport, TraceProgram, TraceStep};
     pub use crate::telemetry::{BitDecision, Phase, PhaseCycles, TraceEvent, TraceSink};
     pub use crate::tsc::{TscConfig, TscModel};
-    pub use crate::verify::{lane_compatibility, ProgramDiagnostic, ProgramStats, Severity};
+    pub use crate::verify::{ProgramDiagnostic, ProgramStats, Severity};
 }
