@@ -16,7 +16,6 @@ use sim_core::session::TraceProgram;
 
 /// One latency observation made by the receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Sample {
     /// Cycle at which the measurement completed.
     pub at: u64,

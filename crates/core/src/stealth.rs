@@ -31,7 +31,6 @@ const COMPANION_DOMAIN: u16 = 4;
 
 /// Who shares the physical core with the WB sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SenderCompanion {
     /// The WB receiver (the covert channel is running) — the "WB" column.
     WbReceiver,
@@ -43,7 +42,6 @@ pub enum SenderCompanion {
 
 /// Per-level cache load rates (Table VI).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LoadProfile {
     /// L1 data-cache loads per millisecond.
     pub l1_per_ms: f64,
@@ -57,7 +55,6 @@ pub struct LoadProfile {
 
 /// Per-level miss rates of the sender process (Table VII).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MissRateProfile {
     /// L1 data-cache miss rate in `[0, 1]`.
     pub l1d: f64,
@@ -69,7 +66,6 @@ pub struct MissRateProfile {
 
 /// Raw output of one stealth run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StealthRun {
     /// The sender's raw perf counters.
     pub sender_counters: PerfCounters,

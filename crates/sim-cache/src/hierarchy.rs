@@ -13,7 +13,6 @@ use crate::config::{CacheConfig, WriteMissPolicy, WritePolicy};
 use crate::latency::LatencyModel;
 use crate::outcome::{AccessKind, AccessOutcome, HitLevel};
 use crate::policy::PolicyKind;
-use crate::prefetch::{NextLinePrefetcher, PrefetchConfig};
 use crate::seed::stream_seed;
 use crate::stats::HierarchyStats;
 use crate::trace::{TraceOp, TraceSummary};
@@ -51,7 +50,6 @@ fn fill_seed(seed: u64) -> u64 {
 /// and the WB channel's signal path differs with them — which is why the
 /// hierarchy-matrix scenario sweeps this axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum InclusionPolicy {
     /// Upper levels hold a subset of the LLC: fills install at every level
     /// and an LLC eviction back-invalidates the L1/L2 copies (dirty copies
@@ -69,7 +67,6 @@ pub enum InclusionPolicy {
 
 /// Where a dirty victim's data is written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WritebackRouting {
     /// Dirty victims stop at the next cache level (the Intel/AMD shape).
     NextLevel,
@@ -82,7 +79,6 @@ pub enum WritebackRouting {
 
 /// Configuration of a full hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HierarchyConfig {
     /// L1 data cache configuration.
     pub l1d: CacheConfig,
@@ -96,9 +92,6 @@ pub struct HierarchyConfig {
     pub writeback: WritebackRouting,
     /// Latency model.
     pub latency: LatencyModel,
-    /// Optional L1 next-line prefetcher (disabled by default; the
-    /// Prefetch-guard defense and the measurement-robustness tests enable it).
-    pub l1_prefetch: Option<PrefetchConfig>,
     /// Optional random-fill L1 (Liu & Lee's RF cache, evaluated as a defense
     /// in Sec. VIII): demand-read misses return data to the core without
     /// filling the requested line; instead a random line from a window of
@@ -110,7 +103,6 @@ pub struct HierarchyConfig {
 
 /// Configuration of the random-fill L1 defense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RandomFillConfig {
     /// Half-width of the fill neighbourhood, in cache lines.
     pub window: u64,
@@ -127,7 +119,6 @@ impl HierarchyConfig {
             inclusion: InclusionPolicy::Inclusive,
             writeback: WritebackRouting::NextLevel,
             latency: LatencyModel::xeon_e5_2650(),
-            l1_prefetch: None,
             l1_random_fill: None,
             seed,
         }
@@ -150,7 +141,6 @@ impl HierarchyConfig {
 /// values so the channel's eviction sets (64 L1 sets, 8 ways) keep working,
 /// and only the LLC associativity varies along the matrix's second axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HierarchyPreset {
     /// Intel server shape: inclusive LLC, Table IV latencies (the default
     /// everywhere outside the matrix — [`HierarchyConfig::xeon_e5_2650`]).
@@ -266,7 +256,6 @@ pub struct CacheHierarchy {
     inclusion: InclusionPolicy,
     writeback: WritebackRouting,
     latency: LatencyModel,
-    prefetcher: Option<NextLinePrefetcher>,
     random_fill: Option<RandomFillConfig>,
     fill_rng_state: u64,
     stats: HierarchyStats,
@@ -286,7 +275,6 @@ impl CacheHierarchy {
             inclusion: config.inclusion,
             writeback: config.writeback,
             latency: config.latency,
-            prefetcher: config.l1_prefetch.map(NextLinePrefetcher::new),
             random_fill: config.l1_random_fill,
             fill_rng_state: fill_seed(config.seed),
             stats: HierarchyStats::default(),
@@ -321,7 +309,6 @@ impl CacheHierarchy {
         self.inclusion = config.inclusion;
         self.writeback = config.writeback;
         self.latency = config.latency;
-        self.prefetcher = config.l1_prefetch.map(NextLinePrefetcher::new);
         self.random_fill = config.l1_random_fill;
         self.fill_rng_state = fill_seed(config.seed);
         self.stats = HierarchyStats::default();
@@ -701,7 +688,6 @@ impl CacheHierarchy {
                 }
             }
             self.stats.total_cycles += cycles;
-            self.maybe_prefetch(addr, ctx, true);
             let mut outcome = AccessOutcome::l1_hit(kind, cycles);
             outcome.writebacks = writebacks;
             return outcome;
@@ -759,7 +745,6 @@ impl CacheHierarchy {
         }
 
         self.stats.total_cycles += cycles;
-        self.maybe_prefetch(addr, ctx, false);
 
         AccessOutcome {
             kind,
@@ -903,25 +888,6 @@ impl CacheHierarchy {
             l1_evicted: evicted_addr,
             l1_victim_dirty: victim_dirty,
             writebacks,
-        }
-    }
-
-    fn maybe_prefetch(&mut self, addr: PhysAddr, ctx: AccessContext, was_hit: bool) {
-        let Some(prefetcher) = &self.prefetcher else {
-            return;
-        };
-        let candidates = prefetcher.candidates(addr, self.l1d.geometry(), was_hit);
-        for candidate in candidates {
-            // Prefetches that would miss in the L2 are dropped (cheap model
-            // of a prefetcher that only promotes from L2 to L1).
-            if self.l2.contains(candidate) || self.llc.contains(candidate) {
-                let fill = self.l1d.fill(candidate, ctx, false, true);
-                if let Some(evicted) = fill.evicted {
-                    if evicted.dirty {
-                        let _ = self.push_writeback_to_l2(evicted);
-                    }
-                }
-            }
         }
     }
 }
@@ -1093,35 +1059,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetcher_installs_next_line_when_l2_resident() {
-        let mut config = HierarchyConfig::xeon_e5_2650(PolicyKind::TreePlru, 5);
-        config.l1_prefetch = Some(PrefetchConfig {
-            degree: 1,
-            on_hit: false,
-        });
-        let mut h = CacheHierarchy::new(config).unwrap();
-        let ctx = AccessContext::default();
-        let a = PhysAddr(0x8000);
-        let next = a.offset(64);
-        // Warm both lines into the L2, then evict them from the L1.
-        h.read(a, ctx);
-        h.read(next, ctx);
-        let g = h.l1_geometry();
-        for t in 0..16u64 {
-            h.read(PhysAddr::from_set_and_tag(g.set_index(a), 500 + t, g), ctx);
-            h.read(
-                PhysAddr::from_set_and_tag(g.set_index(next), 500 + t, g),
-                ctx,
-            );
-        }
-        assert!(!h.l1().contains(a));
-        // A demand miss on `a` should prefetch `next` into the L1.
-        h.read(a, ctx);
-        assert!(h.l1().contains(next), "next line should be prefetched");
-        assert!(h.stats().l1d.prefetch_fills >= 1);
-    }
-
-    #[test]
     fn stats_accumulate_and_reset() {
         let mut h = hierarchy(PolicyKind::TreePlru);
         let ctx = AccessContext::default();
@@ -1162,7 +1099,6 @@ mod tests {
             inclusion,
             writeback,
             latency: LatencyModel::xeon_e5_2650(),
-            l1_prefetch: None,
             l1_random_fill: None,
             seed: 0,
         };

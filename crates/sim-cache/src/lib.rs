@@ -57,7 +57,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod addr;
-pub mod bank;
 pub mod cache;
 pub mod config;
 pub mod hierarchy;
@@ -65,7 +64,6 @@ pub mod latency;
 pub mod line;
 pub mod outcome;
 pub mod policy;
-pub mod prefetch;
 pub mod seed;
 pub mod set;
 pub mod stats;

@@ -34,7 +34,6 @@ use sim_cache::trace::{TraceKind, TraceOp, TraceSummary};
 
 /// Configuration of a [`Machine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineConfig {
     /// Cache-hierarchy configuration.
     pub hierarchy: HierarchyConfig,
@@ -82,7 +81,6 @@ impl Default for MachineConfig {
 
 /// Summary of one [`Machine::run`] invocation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunSummary {
     /// Cycle at which the run stopped.
     pub finished_at: u64,

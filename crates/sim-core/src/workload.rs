@@ -17,7 +17,6 @@ use sim_cache::line::DomainId;
 
 /// Parameters of the compiler-like workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CompilerWorkloadConfig {
     /// Size of the streaming "source text" region in bytes.
     pub source_bytes: u64,
