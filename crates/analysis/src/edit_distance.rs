@@ -1,35 +1,17 @@
-//! Wagner–Fischer edit distance and bit-error rates.
+//! Edit distance and bit-error rates.
 //!
 //! The paper evaluates its covert channels with the edit distance between the
 //! transmitted and received bit sequences (Sec. V): this accounts for all
 //! three error types — bit flips (substitutions), bit insertions and bit
 //! losses (deletions) — that arise when the sender and receiver periods drift
-//! apart.
+//! apart. [`scored_breakdown`] computes both with a banded (Ukkonen) DP.
 
-/// Computes the Wagner–Fischer (Levenshtein) edit distance between two
-/// sequences, counting substitutions, insertions and deletions each as one
-/// edit.
-///
-/// Memory usage is `O(min(|a|, |b|))`.
+/// Computes the Levenshtein edit distance between two sequences, counting
+/// substitutions, insertions and deletions each as one edit. Runs
+/// [`scored_breakdown`], so memory is `O(|a| · distance)`: meant for
+/// frame-sized sequences, not whole traces.
 pub fn edit_distance<T: PartialEq>(a: &[T], b: &[T]) -> usize {
-    // Keep the shorter sequence as the row to minimise memory.
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if short.is_empty() {
-        return long.len();
-    }
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut current = vec![0usize; short.len() + 1];
-    for (i, long_item) in long.iter().enumerate() {
-        current[0] = i + 1;
-        for (j, short_item) in short.iter().enumerate() {
-            let substitution_cost = usize::from(long_item != short_item);
-            current[j + 1] = (prev[j] + substitution_cost)
-                .min(prev[j + 1] + 1)
-                .min(current[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut current);
-    }
-    prev[short.len()]
+    scored_breakdown(a, b).0
 }
 
 /// The bit error rate of a transmission, defined as the edit distance between
@@ -62,62 +44,89 @@ impl ErrorBreakdown {
     }
 }
 
-/// Computes the edit distance together with a breakdown into the paper's
-/// three error classes (flip / insertion / loss), by backtracking over the
-/// full dynamic-programming matrix.
-///
-/// This is `O(|sent| * |received|)` in memory and therefore intended for
-/// frame-sized sequences (hundreds of bits), not whole traces.
-pub fn error_breakdown(sent: &[bool], received: &[bool]) -> ErrorBreakdown {
-    scored_breakdown(sent, received).1
-}
+/// A cell off the band: above any distance, with room to add one.
+const OUTSIDE: u32 = u32::MAX / 2;
 
-/// Computes the Wagner–Fischer distance *and* its per-error-type breakdown
-/// from one dynamic-programming matrix: the matrix's corner cell is the
-/// distance, and the backtrack classifies the optimal alignment's edits.
-///
-/// The matrix is a single flat allocation. Equivalent to calling
-/// [`edit_distance`] and [`error_breakdown`] separately (the alignment
-/// scorer's former hot path, which filled the matrix twice per frame).
-pub fn scored_breakdown(sent: &[bool], received: &[bool]) -> (usize, ErrorBreakdown) {
-    let n = sent.len();
-    let m = received.len();
-    let width = m + 1;
-    let mut dp = vec![0usize; (n + 1) * width];
-    for i in 0..=n {
-        dp[i * width] = i;
+/// Fills the DP cells with `|i - j| <= k` (Ukkonen's band) row by row: cell
+/// `(i, j)` at column `j + k - i` of `2k + 2`, the last always [`OUTSIDE`].
+/// Returns `None` if the corner exceeds `k`, giving up as soon as a whole row
+/// does, so the failed passes of a high-error frame stay short.
+fn fill_band<T: PartialEq>(sent: &[T], received: &[T], k: usize) -> Option<Vec<u32>> {
+    let (n, m, width) = (sent.len(), received.len(), 2 * k + 2);
+    let mut cells = vec![OUTSIDE; (n + 1) * width];
+    for (j, cell) in cells[k..=k + k.min(m)].iter_mut().enumerate() {
+        *cell = j as u32;
     }
-    for (j, cell) in dp[..width].iter_mut().enumerate() {
-        *cell = j;
-    }
-    for i in 1..=n {
-        let sent_bit = sent[i - 1];
-        let (above, row) = dp.split_at_mut(i * width);
+    for (i, sent_item) in (1..).zip(sent) {
+        let (above, row) = cells.split_at_mut(i * width);
         let above = &above[(i - 1) * width..];
-        for j in 1..=m {
-            let substitution = usize::from(sent_bit != received[j - 1]);
-            row[j] = (above[j - 1] + substitution)
-                .min(above[j] + 1)
-                .min(row[j - 1] + 1);
+        // Cell (i, j - 1): column 0 while it is in the band.
+        let mut left = OUTSIDE;
+        if i <= k {
+            left = i as u32;
+            row[k - i] = left;
+        }
+        let mut row_min = left;
+        // Columns lo..=min(i + k, m): the received slice bounds the zip.
+        let lo = i.saturating_sub(k).max(1);
+        let pairs = row[lo + k - i..]
+            .iter_mut()
+            .zip(above[lo + k - i..].windows(2));
+        for ((cell, diagonal), item) in pairs.zip(&received[lo - 1..(i + k).min(m)]) {
+            left = (diagonal[0] + u32::from(sent_item != item))
+                .min(diagonal[1] + 1)
+                .min(left + 1);
+            *cell = left;
+            row_min = row_min.min(left);
+        }
+        if row_min as usize > k {
+            return None;
         }
     }
-    // Backtrack, preferring diagonal moves, then deletions, then insertions —
-    // the tie-break order that defines the canonical breakdown.
+    (cells[n * width + m + k - n] as usize <= k).then_some(cells)
+}
+
+/// Computes the edit distance *and* its per-error-type breakdown (flip /
+/// insertion / loss) of `received` against `sent`.
+///
+/// Identical sequences return at once. Otherwise a banded DP fills the cells
+/// with `|i - j| <= k`, from `k` = the length difference (at least 1),
+/// doubling `k` (clipped to the matrix) until the corner is at most `k`.
+/// In-band values up to `k` are exact, as a path leaving the band crosses a
+/// cell worth more than `k`. The backtrack (diagonal, then loss, then
+/// insertion) reads off-band cells as infinite: each cell it compares is
+/// exact or, in both the band and the full matrix, above the distance, so it
+/// takes the full matrix's alignment. Panics past `u32::MAX / 2` items.
+pub fn scored_breakdown<T: PartialEq>(sent: &[T], received: &[T]) -> (usize, ErrorBreakdown) {
+    if sent == received {
+        return (0, ErrorBreakdown::default());
+    }
+    let (n, m) = (sent.len(), received.len());
+    assert!(n.max(m) < OUTSIDE as usize, "sequences too long to score");
+    let mut k = n.abs_diff(m).max(1);
+    let cells = loop {
+        match fill_band(sent, received, k) {
+            Some(cells) => break cells,
+            None => k = (2 * k).min(n.max(m)),
+        }
+    };
+    let at = |i: usize, j: usize| match (j + k).checked_sub(i) {
+        Some(column) if column <= 2 * k => cells[i * (2 * k + 2) + column],
+        _ => OUTSIDE,
+    };
     let mut breakdown = ErrorBreakdown::default();
     let (mut i, mut j) = (n, m);
     while i > 0 || j > 0 {
         if i > 0 && j > 0 {
-            let substitution = usize::from(sent[i - 1] != received[j - 1]);
-            if dp[i * width + j] == dp[(i - 1) * width + j - 1] + substitution {
-                if substitution == 1 {
-                    breakdown.flips += 1;
-                }
+            let flip = sent[i - 1] != received[j - 1];
+            if at(i, j) == at(i - 1, j - 1) + u32::from(flip) {
+                breakdown.flips += usize::from(flip);
                 i -= 1;
                 j -= 1;
                 continue;
             }
         }
-        if i > 0 && dp[i * width + j] == dp[(i - 1) * width + j] + 1 {
+        if i > 0 && at(i, j) == at(i - 1, j) + 1 {
             // A sent bit that never arrived.
             breakdown.losses += 1;
             i -= 1;
@@ -127,7 +136,7 @@ pub fn scored_breakdown(sent: &[bool], received: &[bool]) -> (usize, ErrorBreakd
             j -= 1;
         }
     }
-    (dp[n * width + m], breakdown)
+    (at(n, m) as usize, breakdown)
 }
 
 /// Converts a byte slice into its bit sequence (MSB first), the format used
@@ -151,6 +160,10 @@ pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
         })
         .collect()
 }
+
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -198,7 +211,7 @@ mod tests {
         let sent = [true, false, true, true, false];
         // One flip at position 1, one loss at the end.
         let received = [true, true, true, true];
-        let breakdown = error_breakdown(&sent, &received);
+        let breakdown = scored_breakdown(&sent, &received).1;
         assert_eq!(breakdown.total(), edit_distance(&sent, &received));
         assert_eq!(breakdown.flips, 1);
         assert_eq!(breakdown.losses, 1);
@@ -206,7 +219,7 @@ mod tests {
 
         // Pure insertion.
         let received = [true, false, true, false, true, false];
-        let breakdown = error_breakdown(&sent, &received);
+        let breakdown = scored_breakdown(&sent, &received).1;
         assert_eq!(breakdown.total(), edit_distance(&sent, &received));
         assert!(breakdown.insertions >= 1);
     }
@@ -227,20 +240,24 @@ mod tests {
     }
 
     #[test]
-    fn fused_scoring_matches_the_separate_passes() {
-        // Deterministic pseudo-random bit pairs covering flips, insertions
-        // and losses at assorted lengths (including empty sides).
-        for seed in 0u64..24 {
-            let n = (seed * 7 % 33) as usize;
-            let m = (seed * 11 % 29) as usize;
-            let sent: Vec<bool> = (0..n)
-                .map(|i| (seed + i as u64) * 2_654_435_761 % 5 < 2)
-                .collect();
-            let received: Vec<bool> = (0..m).map(|i| (seed + i as u64) * 40_503 % 7 < 3).collect();
-            let (distance, breakdown) = scored_breakdown(&sent, &received);
-            assert_eq!(distance, edit_distance(&sent, &received), "seed {seed}");
-            assert_eq!(breakdown, error_breakdown(&sent, &received), "seed {seed}");
-            assert_eq!(breakdown.total(), distance, "seed {seed}");
+    fn band_boundaries_match_the_oracle() {
+        let sent = bytes_to_bits(b"dirty lines");
+        let two_flips: Vec<bool> = (0..).zip(&sent).map(|(i, &b)| b ^ (i % 40 == 10)).collect();
+        let inverted: Vec<bool> = sent.iter().map(|&bit| !bit).collect();
+        let cases: [(&[bool], &[bool], usize); 8] = [
+            (&sent[..30], &two_flips[..30], 1), // distance = the first k, 1
+            (&sent, &sent[3..], 3),             // distance = the first k, |n - m|
+            (&sent, &two_flips, 2),             // distance = k + 1: one doubling
+            (&sent, &sent[40..50], 78),         // |n - m| wider than any small band
+            (&sent, &[], 88),                   // one side empty
+            (&[], &sent[..10], 10),             // the other side empty
+            (&sent, &inverted, 27),             // inverted: the band grows
+            (&[true; 100], &[false; 100], 100), // ... to the full matrix
+        ];
+        for (a, b, distance) in cases {
+            let banded = scored_breakdown(a, b);
+            assert_eq!(banded, oracle::scored_breakdown(a, b), "{a:?} vs {b:?}");
+            assert_eq!(banded.0, distance, "{a:?} vs {b:?}");
         }
     }
 

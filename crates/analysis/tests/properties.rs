@@ -1,8 +1,11 @@
 //! Property-based tests for the analysis primitives (edit distance metric
-//! axioms, CDF monotonicity, threshold correctness).
+//! axioms, the banded scorer against the full-matrix oracle, CDF
+//! monotonicity, threshold correctness).
+
+mod oracle;
 
 use analysis::edit_distance::{
-    bit_error_rate, bits_to_bytes, bytes_to_bits, edit_distance, error_breakdown,
+    bit_error_rate, bits_to_bytes, bytes_to_bits, edit_distance, scored_breakdown, ErrorBreakdown,
 };
 use analysis::histogram::Cdf;
 use analysis::stats::Summary;
@@ -35,8 +38,46 @@ proptest! {
         a in proptest::collection::vec(any::<bool>(), 0..40),
         b in proptest::collection::vec(any::<bool>(), 0..40),
     ) {
-        let breakdown = error_breakdown(&a, &b);
+        let breakdown = scored_breakdown(&a, &b).1;
         prop_assert_eq!(breakdown.total(), edit_distance(&a, &b));
+    }
+
+    /// The banded scorer returns the full-matrix oracle's distance and
+    /// breakdown on unrelated sequences.
+    #[test]
+    fn banded_scoring_matches_the_oracle(
+        sent in proptest::collection::vec(any::<bool>(), 0..300),
+        received in proptest::collection::vec(any::<bool>(), 0..300),
+    ) {
+        prop_assert_eq!(
+            scored_breakdown(&sent, &received),
+            oracle::scored_breakdown(&sent, &received)
+        );
+    }
+
+    /// Same, on `sent` plus up to 40 random flips, insertions and deletions,
+    /// so the band has to double several times.
+    #[test]
+    fn banded_scoring_matches_the_oracle_on_edited_copies(
+        sent in proptest::collection::vec(any::<bool>(), 0..300),
+        edits in proptest::collection::vec((0u8..3, 0usize..300, any::<bool>()), 0..40),
+    ) {
+        let mut received = sent.clone();
+        for (kind, at, bit) in edits {
+            let at = at % (received.len() + 1);
+            match kind {
+                0 if at < received.len() => received[at] = !received[at],
+                1 => received.insert(at, bit),
+                _ if at < received.len() => {
+                    received.remove(at);
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(
+            scored_breakdown(&sent, &received),
+            oracle::scored_breakdown(&sent, &received)
+        );
     }
 
     /// Bit error rate is normalised to the sent length and bounded.

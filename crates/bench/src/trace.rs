@@ -14,7 +14,8 @@
 //!   through [`analysis::table::Table::to_ndjson`];
 //! * a **per-phase cycle-attribution table** — where the simulated cycles
 //!   went (calibrate / prime / encode / wait / decode / noise / other);
-//! * a **per-frame BER timeline** — one row per transmitted frame;
+//! * a **per-frame BER timeline** — one row per transmitted frame, with the
+//!   edit distance split into flips, insertions and losses;
 //! * a **chase-latency histogram** over every measured sweep sample,
 //!   reusing [`analysis::histogram::Histogram`].
 //!
@@ -116,7 +117,16 @@ fn trace_scenario(id: &'static str, frames: usize) -> Result<TraceArtifact, Stri
 
     let mut timeline = Table::new(
         format!("trace {id} [{config_label}]: per-frame BER timeline"),
-        &["frame", "bits", "edit distance", "BER", "alignment offset"],
+        &[
+            "frame",
+            "bits",
+            "edit distance",
+            "flips",
+            "insertions",
+            "losses",
+            "BER",
+            "alignment offset",
+        ],
     );
     let mut samples: Vec<u64> = Vec::new();
     for frame_index in 0..frames {
@@ -128,6 +138,9 @@ fn trace_scenario(id: &'static str, frames: usize) -> Result<TraceArtifact, Stri
             frame_index.to_string(),
             report.sent_bits.len().to_string(),
             report.edit_distance.to_string(),
+            report.breakdown.flips.to_string(),
+            report.breakdown.insertions.to_string(),
+            report.breakdown.losses.to_string(),
             percent2(report.bit_error_rate()),
             report.alignment_offset.to_string(),
         ]);
@@ -237,8 +250,13 @@ mod tests {
                 "missing {span} span"
             );
         }
-        // One timeline row per frame; every row carries a parsable BER.
+        // One timeline row per frame; every row's flips, insertions and
+        // losses add up to its edit distance.
         assert_eq!(artifact.timeline.len(), QUICK_FRAMES);
+        for row in &artifact.timeline.rows {
+            let count = |column: usize| row[column].parse::<usize>().unwrap();
+            assert_eq!(count(3) + count(4) + count(5), count(2), "{row:?}");
+        }
         // The phase table covers the whole taxonomy and attributes the bulk
         // of the cycles to real protocol phases, not `other`.
         assert_eq!(artifact.phases.len(), sim_core::telemetry::PHASE_COUNT);

@@ -193,8 +193,10 @@ pub struct AlignmentResult {
 
 /// Aligns `decoded` to `sent` by sliding the 16-bit preamble over the first
 /// `max_shift` positions of the decoded stream and picking the offset with
-/// the smallest Hamming distance, then scores the aligned window with the
-/// edit distance.
+/// the smallest Hamming distance, then scores the aligned window with
+/// [`scored_breakdown`]: the edit distance and its flip / insertion / loss
+/// breakdown, free for an exact frame and a narrow banded DP for a few
+/// errors.
 pub fn align_and_score(sent: &[bool], decoded: &[bool], max_shift: usize) -> AlignmentResult {
     let pre = &sent[..PREAMBLE_BITS.min(sent.len())];
     let mut best_offset = 0usize;
@@ -215,8 +217,6 @@ pub fn align_and_score(sent: &[bool], decoded: &[bool], max_shift: usize) -> Ali
     }
     let end = (best_offset + sent.len()).min(decoded.len());
     let aligned: Vec<bool> = decoded[best_offset..end].to_vec();
-    // One fused DP pass scores the window: the breakdown's matrix corner is
-    // the edit distance, so the former second pass was pure rework.
     let (distance, breakdown) = scored_breakdown(sent, &aligned);
     AlignmentResult {
         offset: best_offset,
