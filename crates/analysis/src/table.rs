@@ -589,6 +589,8 @@ mod tests {
         assert_eq!(parsed, t);
     }
 
+    // The width check is a `debug_assert_eq!`, so release builds skip it.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "row width 2 does not match 3 headers")]
     fn extend_rows_rejects_mismatched_row_widths_in_debug() {

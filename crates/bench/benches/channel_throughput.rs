@@ -10,10 +10,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sim_core::sched::InterruptConfig;
 use sim_core::tsc::TscConfig;
 use std::hint::black_box;
-use wb_channel::channel::{ChannelConfig, CovertChannel};
+use wb_channel::channel::ChannelConfig;
 use wb_channel::encoding::SymbolEncoding;
+use wb_channel::session::ChannelSession;
 
-fn channel(encoding: SymbolEncoding, period: u64) -> CovertChannel {
+fn channel(encoding: SymbolEncoding, period: u64) -> ChannelSession {
     let config = ChannelConfig::builder()
         .encoding(encoding)
         .period_cycles(period)
@@ -23,7 +24,7 @@ fn channel(encoding: SymbolEncoding, period: u64) -> CovertChannel {
         .seed(7)
         .build()
         .expect("valid configuration");
-    CovertChannel::new(config).expect("calibration succeeds")
+    ChannelSession::new(config).expect("calibration succeeds")
 }
 
 fn bench_channel(c: &mut Criterion) {

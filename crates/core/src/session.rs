@@ -1,20 +1,15 @@
 //! The channel session: frame transmissions compiled onto the batched trace
 //! engine.
 //!
-//! [`ChannelSession`] is the transmit engine behind [`crate::channel`].  For
-//! every frame it *compiles* the whole transmission — the sender's
-//! per-symbol store bursts, the receiver's initialisation loads, measured
-//! sweeps and period waits, and any noisy-neighbour schedule — into
-//! [`sim_core::session::TraceProgram`]s and executes them through
-//! [`sim_core::machine::Machine::run_session`], the interleaved batched
-//! executor.  The per-access actor stepping loop
-//! ([`sim_core::machine::Machine::run`] over [`crate::sender::WbSender`] /
-//! [`crate::receiver::WbReceiver`]) survives as the *reference backend*
-//! ([`Backend::Stepped`]): the compiled path is required — and tested — to
-//! produce bit-identical [`TransmissionReport`]s, it is just much faster,
-//! because transmitting a frame no longer pays a virtual dispatch, a
-//! `Completion` allocation and per-access perf bookkeeping for every one of
-//! the frame's thousands of memory operations.
+//! [`ChannelSession`] is the end-to-end WB covert channel: it calibrates
+//! the receiver's decision thresholds once, then for every frame *compiles*
+//! the whole transmission — the sender's per-symbol store bursts, the
+//! receiver's initialisation loads, measured sweeps and period waits, and
+//! any noisy-neighbour schedule — into [`sim_core::session::TraceProgram`]s,
+//! executes them through [`sim_core::machine::Machine::run_session`],
+//! decodes the receiver's latency samples and scores them with the edit
+//! distance.  This is the full pipeline behind the paper's Figures 5–7 and
+//! the bandwidth/error-rate numbers of Section V.
 //!
 //! ```text
 //!   compile                 execute                      decode
@@ -34,13 +29,11 @@ use crate::receiver::WbReceiver;
 use crate::sender::WbSender;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim_cache::addr::CacheGeometry;
 use sim_cache::trace::TraceSummary;
 use sim_core::machine::Machine;
 use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::noise::NoisyNeighbor;
 use sim_core::process::{AddressSpace, ProcessId};
-use sim_core::program::Actor;
 use sim_core::session::TraceProgram;
 use sim_core::telemetry::{BitDecision, Phase, PhaseCycles, TraceEvent, TraceSink};
 
@@ -48,85 +41,6 @@ use sim_core::telemetry::{BitDecision, Phase, PhaseCycles, TraceEvent, TraceSink
 pub(crate) const RECEIVER_DOMAIN: u16 = 1;
 pub(crate) const SENDER_DOMAIN: u16 = 2;
 pub(crate) const NOISE_DOMAIN: u16 = 3;
-
-/// The three parties of one frame, built identically by the compiled and
-/// stepped backends (and by [`compile_frame`], which never executes).
-struct FrameParties {
-    sender: WbSender,
-    receiver: WbReceiver,
-    noise: Option<NoisyNeighbor>,
-    /// The cycle budget `run_session` is given for this frame.
-    limit: u64,
-}
-
-impl FrameParties {
-    fn build(
-        config: &ChannelConfig,
-        geometry: CacheGeometry,
-        frame: &Frame,
-        seed: u64,
-    ) -> FrameParties {
-        let receiver_layout = ChannelLayout::build(
-            AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
-            geometry,
-            config.target_set,
-            geometry.associativity,
-            config.replacement_size,
-        );
-        let sender_lines = SetLines::build(
-            AddressSpace::new(ProcessId(SENDER_DOMAIN)),
-            geometry,
-            config.target_set,
-            geometry.associativity,
-            0,
-        );
-
-        let symbols = config.encoding.bits_to_symbols(frame.bits());
-        let symbol_count = symbols.len();
-        // Rendezvous time agreed by both parties: generously after the
-        // receiver's initialisation phase (28 cold loads) has finished.
-        let epoch = 50_000u64;
-        let sender = WbSender::new(
-            SENDER_DOMAIN,
-            sender_lines,
-            config.encoding.clone(),
-            symbols,
-            config.period_cycles,
-        )
-        .with_start_epoch(epoch);
-        // A few extra samples so that losses at the end can still be seen.
-        let max_samples = symbol_count + 4;
-        let receiver = WbReceiver::with_default_phase(
-            RECEIVER_DOMAIN,
-            receiver_layout,
-            config.period_cycles,
-            max_samples,
-            seed,
-        )
-        .with_start_epoch(epoch);
-
-        let limit = epoch + (max_samples as u64 + 8) * config.period_cycles + 200_000;
-        let noise = config.noise.map(|n| {
-            NoisyNeighbor::new(
-                AddressSpace::new(ProcessId(NOISE_DOMAIN)),
-                geometry,
-                config.target_set,
-                n.lines,
-                n.interval,
-                n.store_fraction,
-                NOISE_DOMAIN,
-                seed ^ 0x6e6f,
-            )
-        });
-
-        FrameParties {
-            sender,
-            receiver,
-            noise,
-            limit,
-        }
-    }
-}
 
 /// One frame's compiled trace programs and cycle budget — the output of
 /// [`compile_frame`], produced without executing a single simulated cycle.
@@ -139,6 +53,72 @@ pub struct CompiledFrame {
     pub limit: u64,
 }
 
+/// The seed of the `n`-th frame (1-based) a session under `config` sends.
+fn frame_seed(config: &ChannelConfig, n: u64) -> u64 {
+    config.seed.wrapping_mul(0x9e37_79b9).wrapping_add(n)
+}
+
+/// Builds the parties of one frame — sender, receiver and the optional
+/// noisy neighbour — and compiles each into its program.
+fn compile_parties(config: &ChannelConfig, frame: &Frame, seed: u64) -> CompiledFrame {
+    let geometry = config.machine_config(seed).hierarchy.l1d.geometry;
+    let receiver_layout = ChannelLayout::build(
+        AddressSpace::new(ProcessId(RECEIVER_DOMAIN)),
+        geometry,
+        config.target_set,
+        geometry.associativity,
+        config.replacement_size,
+    );
+    let sender_lines = SetLines::build(
+        AddressSpace::new(ProcessId(SENDER_DOMAIN)),
+        geometry,
+        config.target_set,
+        geometry.associativity,
+        0,
+    );
+
+    let symbols = config.encoding.bits_to_symbols(frame.bits());
+    let symbol_count = symbols.len();
+    // Rendezvous time agreed by both parties: generously after the
+    // receiver's initialisation phase (28 cold loads) has finished.
+    let epoch = 50_000u64;
+    let sender = WbSender::new(
+        SENDER_DOMAIN,
+        sender_lines,
+        config.encoding.clone(),
+        symbols,
+        config.period_cycles,
+    )
+    .with_start_epoch(epoch);
+    // A few extra samples so that losses at the end can still be seen.
+    let max_samples = symbol_count + 4;
+    let receiver = WbReceiver::with_default_phase(
+        RECEIVER_DOMAIN,
+        receiver_layout,
+        config.period_cycles,
+        max_samples,
+        seed,
+    )
+    .with_start_epoch(epoch);
+
+    let limit = epoch + (max_samples as u64 + 8) * config.period_cycles + 200_000;
+    let mut programs = vec![sender.compile(), receiver.compile()];
+    if let Some(n) = config.noise {
+        let noise = NoisyNeighbor::new(
+            AddressSpace::new(ProcessId(NOISE_DOMAIN)),
+            geometry,
+            config.target_set,
+            n.lines,
+            n.interval,
+            n.store_fraction,
+            NOISE_DOMAIN,
+            seed ^ 0x6e6f,
+        );
+        programs.push(noise.compile(limit));
+    }
+    CompiledFrame { programs, limit }
+}
+
 /// Compiles the first frame of a `payload` transmission under `config`
 /// exactly as [`ChannelSession::transmit_bits`] would — same per-frame seed
 /// derivation, layouts, rendezvous epoch and cycle budget — but without
@@ -147,31 +127,8 @@ pub struct CompiledFrame {
 /// This is the entry point of the `repro check` static gate: every program
 /// can be handed to [`TraceProgram::verify`] before any simulation runs.
 pub fn compile_frame(config: &ChannelConfig, payload: &[bool]) -> CompiledFrame {
-    let frame = Frame::from_payload(payload);
-    // The first transmission of a session: frames_sent == 1.
-    let seed = config.seed.wrapping_mul(0x9e37_79b9).wrapping_add(1);
-    let geometry = config.machine_config(seed).hierarchy.l1d.geometry;
-    let parties = FrameParties::build(config, geometry, &frame, seed);
-    let mut programs = vec![parties.sender.compile(), parties.receiver.compile()];
-    if let Some(noise) = &parties.noise {
-        programs.push(noise.compile(parties.limit));
-    }
-    CompiledFrame {
-        programs,
-        limit: parties.limit,
-    }
-}
-
-/// Which transmit engine executes a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Compile the frame into trace programs and run them through
-    /// [`sim_core::machine::Machine::run_session`] — the default.
-    Compiled,
-    /// Step the [`WbSender`] / [`WbReceiver`] actors through
-    /// [`sim_core::machine::Machine::run`] — the reference path the
-    /// equivalence tests compare against.
-    Stepped,
+    // The first transmission of a session.
+    compile_parties(config, &Frame::from_payload(payload), frame_seed(config, 1))
 }
 
 /// Cumulative simulated-work counters of a session, sourced from the
@@ -184,7 +141,7 @@ pub struct SimUsage {
     /// (sender, receiver and noise domains combined).
     pub summary: TraceSummary,
     /// Per-protocol-phase attribution of the executed programs' step cycles
-    /// (compiled backend; always maintained, independent of event tracing).
+    /// (always maintained, independent of event tracing).
     pub phase_cycles: PhaseCycles,
 }
 
@@ -304,8 +261,7 @@ impl ChannelSession {
     }
 
     /// Cumulative simulated-work counters over every frame transmitted so
-    /// far (compiled backend only; the stepped reference backend reports the
-    /// same transmissions but is not instrumented).
+    /// far.
     pub fn sim_usage(&self) -> SimUsage {
         self.sim
     }
@@ -323,15 +279,6 @@ impl ChannelSession {
     pub fn transmit_bits(&mut self, payload: &[bool]) -> Result<TransmissionReport, Error> {
         let frame = Frame::from_payload(payload);
         self.transmit_frame(&frame)
-    }
-
-    /// Transmits one frame through the compiled backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns machine-construction errors.
-    pub fn transmit_frame(&mut self, frame: &Frame) -> Result<TransmissionReport, Error> {
-        self.transmit_frame_with(frame, Backend::Compiled)
     }
 
     /// Transmits `frames` random frames of `bits_per_frame` bits each and
@@ -377,26 +324,14 @@ impl ChannelSession {
         })
     }
 
-    /// Transmits one frame through the chosen backend.
-    ///
-    /// Both backends draw the same per-frame seed from the session's frame
-    /// counter, so transmitting the same frames in the same order through
-    /// either backend produces identical reports.
+    /// Transmits one frame and reports the outcome.
     ///
     /// # Errors
     ///
     /// Returns machine-construction errors.
-    pub fn transmit_frame_with(
-        &mut self,
-        frame: &Frame,
-        backend: Backend,
-    ) -> Result<TransmissionReport, Error> {
+    pub fn transmit_frame(&mut self, frame: &Frame) -> Result<TransmissionReport, Error> {
         self.frames_sent += 1;
-        let seed = self
-            .config
-            .seed
-            .wrapping_mul(0x9e37_79b9)
-            .wrapping_add(self.frames_sent);
+        let seed = frame_seed(&self.config, self.frames_sent);
         // Each frame runs on a machine in the exact state `Machine::new`
         // would produce for the frame seed; across frames the arenas are
         // reused via `Machine::reset` instead of reallocated.
@@ -411,41 +346,12 @@ impl ChannelSession {
         if self.sink.is_enabled() && !machine.tracing_enabled() {
             machine.enable_tracing();
         }
-        let geometry = machine.l1_geometry();
-        let FrameParties {
-            sender,
-            receiver,
-            noise,
-            limit,
-        } = FrameParties::build(&self.config, geometry, frame, seed);
-
-        let latencies = match backend {
-            Backend::Compiled => {
-                // Compile every party; the program order (sender, receiver,
-                // noise) mirrors the actor order of the stepped path, so the
-                // machine's RNG stream is consumed identically.
-                let mut programs = vec![sender.compile(), receiver.compile()];
-                if let Some(noise) = &noise {
-                    programs.push(noise.compile(limit));
-                }
-                let report = machine.run_session(&programs, &mut [], limit);
-                self.sim.frames += 1;
-                self.sim.summary.merge(&report.total_summary());
-                self.sim.phase_cycles.merge(&report.phase_cycles());
-                report.programs[1].latencies()
-            }
-            Backend::Stepped => {
-                let mut sender = sender;
-                let mut receiver = receiver;
-                let mut noise = noise;
-                let mut actors: Vec<&mut dyn Actor> = vec![&mut sender, &mut receiver];
-                if let Some(noise) = noise.as_mut() {
-                    actors.push(noise);
-                }
-                machine.run(&mut actors, limit);
-                receiver.latencies()
-            }
-        };
+        let CompiledFrame { programs, limit } = compile_parties(&self.config, frame, seed);
+        let report = machine.run_session(&programs, None, limit);
+        self.sim.frames += 1;
+        self.sim.summary.merge(&report.total_summary());
+        self.sim.phase_cycles.merge(&report.phase_cycles());
+        let latencies = report.programs[1].latencies();
 
         let decoded = self.decoder.bits(&latencies);
         let max_shift = 4 * self.config.encoding.bits_per_symbol();
@@ -511,49 +417,6 @@ mod tests {
             .seed(seed)
             .build()
             .unwrap()
-    }
-
-    /// The tentpole contract: the compiled transmit path is bit-identical to
-    /// the stepped actor path, frame by frame, across noise models.
-    #[test]
-    fn compiled_and_stepped_backends_are_bit_identical() {
-        let mut variants: Vec<ChannelConfig> = Vec::new();
-        // Default realistic machine (interrupts + tsc noise).
-        variants.push(config(7));
-        // Idealised machine.
-        let mut ideal = config(8);
-        ideal.interrupts = InterruptConfig::none();
-        ideal.tsc = TscConfig::ideal();
-        variants.push(ideal);
-        // Noisy neighbour present (adds the third program/actor).
-        let mut noisy = config(9);
-        noisy.noise = Some(NoiseConfig {
-            interval: 1_500,
-            lines: 2,
-            store_fraction: 0.4,
-        });
-        variants.push(noisy);
-        // Multi-bit encoding.
-        let mut multibit = config(10);
-        multibit.encoding = SymbolEncoding::paper_two_bit();
-        variants.push(multibit);
-
-        for config in variants {
-            let label = format!("{config:?}");
-            let payload: Vec<bool> = (0..48).map(|i| (i * 5) % 3 == 0).collect();
-            let mut compiled = ChannelSession::new(config.clone()).unwrap();
-            let mut stepped = ChannelSession::new(config).unwrap();
-            for _ in 0..2 {
-                let frame = Frame::from_payload(&payload);
-                let a = compiled
-                    .transmit_frame_with(&frame, Backend::Compiled)
-                    .unwrap();
-                let b = stepped
-                    .transmit_frame_with(&frame, Backend::Stepped)
-                    .unwrap();
-                assert_eq!(a, b, "backends diverged for {label}");
-            }
-        }
     }
 
     /// `compile_frame` must mirror the first transmission of a fresh session

@@ -22,7 +22,6 @@ use sim_core::machine::{Machine, MachineConfig};
 use sim_core::memlayout::{ChannelLayout, SetLines};
 use sim_core::perf::{PerfCounters, PerfLevel};
 use sim_core::process::{AddressSpace, ProcessId};
-use sim_core::program::Actor;
 use sim_core::workload::{CompilerWorkload, CompilerWorkloadConfig};
 
 const RECEIVER_DOMAIN: u16 = 1;
@@ -148,12 +147,11 @@ pub fn sender_profile(
     )
     .with_spin_footprint(spin_lines, 24);
 
-    // The sender (and the WB receiver, when present) run as compiled trace
-    // programs on the session executor; the compiler-like workload is a
-    // dynamic actor sharing the same scheduler.  Program order mirrors the
-    // actor order of the old stepping loop, so the profiles are unchanged.
+    // The sender and the WB receiver run as compiled trace programs; the
+    // endless g++ workload runs as the session's companion thread.
     let start = machine.now();
     let mut programs = vec![sender.compile()];
+    let mut workload = None;
     match companion {
         SenderCompanion::WbReceiver => {
             let layout = ChannelLayout::build(
@@ -171,22 +169,18 @@ pub fn sender_profile(
                 seed ^ 0xaaaa,
             );
             programs.push(receiver.compile());
-            machine.run_session(&programs, &mut [], duration_cycles);
         }
         SenderCompanion::CompilerWorkload => {
-            let mut workload = CompilerWorkload::new(
+            workload = Some(CompilerWorkload::new(
                 AddressSpace::new(ProcessId(COMPANION_DOMAIN)),
                 COMPANION_DOMAIN,
                 CompilerWorkloadConfig::default(),
                 seed ^ 0xbbbb,
-            );
-            let mut extras: Vec<&mut dyn Actor> = vec![&mut workload];
-            machine.run_session(&programs, &mut extras, duration_cycles);
+            ));
         }
-        SenderCompanion::None => {
-            machine.run_session(&programs, &mut [], duration_cycles);
-        }
+        SenderCompanion::None => {}
     }
+    machine.run_session(&programs, workload.as_mut(), duration_cycles);
 
     Ok(StealthRun {
         sender_counters: machine.perf(SENDER_DOMAIN),

@@ -11,9 +11,9 @@
 //! that matter for the channel are modelled here:
 //!
 //! * [`machine::Machine`] — the core itself: a cycle clock, the cache
-//!   hierarchy, an interleaving executor for concurrent [`program::Actor`]s,
-//!   and per-domain [`perf`] counters (the simulator's version of Linux
-//!   `perf`).
+//!   hierarchy, the one interleaving executor
+//!   ([`machine::Machine::run_session`]) for concurrent hardware threads, and
+//!   per-domain [`perf`] counters (the simulator's version of Linux `perf`).
 //! * [`tsc`] — the `rdtscp` measurement model (serialisation overhead,
 //!   granularity, jitter) used for all latency measurements.
 //! * [`process`] / [`memlayout`] — separate address spaces (no shared memory)
@@ -21,12 +21,13 @@
 //!   virtual addresses.
 //! * [`sched`] — OS interruption noise, the source of bit-insertion and
 //!   bit-loss errors.
-//! * [`noise`] / [`workload`] — noisy-cache-line injectors (Figure 8) and the
-//!   `g++`-like benign co-runner used for the stealthiness baselines
-//!   (Tables VI and VII).
+//! * [`noise`] / [`workload`] — the noisy-cache-line injector (Figure 8) and
+//!   the `g++`-like benign co-runner used for the stealthiness baselines
+//!   (Table VII).  The co-runner never finishes, so the executor draws its
+//!   turns lazily as the session's companion thread.
 //! * [`session`] — compiled [`session::TraceProgram`]s and the reports of
-//!   [`machine::Machine::run_session`], the batched executor the covert
-//!   channel's transmit path compiles onto.
+//!   [`machine::Machine::run_session`]: the sender, receiver and noise
+//!   process are each defined once, by the program they compile to.
 //! * [`telemetry`] — cycle-domain span/counter tracing: a
 //!   zero-overhead-when-disabled [`telemetry::TraceSink`] recorded by the
 //!   session executor, exported as Chrome trace-event JSON.
@@ -64,7 +65,6 @@ pub mod memlayout;
 pub mod noise;
 pub mod perf;
 pub mod process;
-pub mod program;
 pub mod sched;
 pub mod session;
 pub mod telemetry;
@@ -74,11 +74,10 @@ pub mod workload;
 
 /// Convenient glob-import of the most frequently used types.
 pub mod prelude {
-    pub use crate::machine::{Machine, MachineConfig, RunSummary};
+    pub use crate::machine::{Machine, MachineConfig};
     pub use crate::memlayout::{ChannelLayout, SetLines};
     pub use crate::perf::{PerfCounters, PerfLevel};
     pub use crate::process::{AddressSpace, Process, ProcessId};
-    pub use crate::program::{Action, Actor, Completion, ScriptedActor};
     pub use crate::sched::InterruptConfig;
     pub use crate::session::{Measurement, ProgramReport, SessionReport, TraceProgram, TraceStep};
     pub use crate::telemetry::{BitDecision, Phase, PhaseCycles, TraceEvent, TraceSink};

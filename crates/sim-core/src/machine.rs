@@ -10,18 +10,20 @@
 //!   [`Machine::write`], [`Machine::measured_chase`] etc.; each call advances
 //!   the clock by the access latency.  This is how the single-threaded
 //!   calibration experiments (Table IV, Figure 4) run.
-//! * **as an SMT core** — [`Machine::run`] interleaves a set of [`Actor`]s
-//!   (sender, receiver, noise processes, benign co-runners) on the shared
-//!   hierarchy in event order, which is how the covert-channel transmissions
-//!   and the stealthiness experiments run.  This mirrors the paper's setup of
-//!   two hyper-threads pinned to one physical core with `sched_setaffinity`.
+//! * **as an SMT core** — [`Machine::run_session`], the one executor,
+//!   interleaves compiled [`TraceProgram`]s (sender, receiver, noise
+//!   processes) and an optional `g++`-like [`CompilerWorkload`] companion on
+//!   the shared hierarchy in event order, which is how the covert-channel
+//!   transmissions and the stealthiness experiments run.  This mirrors the
+//!   paper's setup of two hyper-threads pinned to one physical core with
+//!   `sched_setaffinity`.
 
 use crate::perf::{PerfCounters, PerfStore};
-use crate::program::{Action, Actor, Completion};
 use crate::sched::{InterruptConfig, InterruptModel};
 use crate::session::{Measurement, ProgramReport, SessionReport, TraceProgram, TraceStep};
-use crate::telemetry::{Phase, PhaseCycles, TraceEvent, TraceSink};
+use crate::telemetry::{Phase, TraceEvent, TraceSink};
 use crate::tsc::{TscConfig, TscModel};
+use crate::workload::{CompilerWorkload, WorkloadTurn};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_cache::addr::{CacheGeometry, PhysAddr};
@@ -79,22 +81,8 @@ impl Default for MachineConfig {
     }
 }
 
-/// Summary of one [`Machine::run`] invocation.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RunSummary {
-    /// Cycle at which the run stopped.
-    pub finished_at: u64,
-    /// Number of actions executed per actor (same order as passed to `run`).
-    pub actions: Vec<u64>,
-    /// Cycles each actor spent stalled by OS interruptions.
-    pub stalled_cycles: Vec<u64>,
-    /// Whether the run ended because the cycle limit was reached (rather than
-    /// all actors finishing).
-    pub hit_limit: bool,
-}
-
 /// Per-thread scheduling state of an in-flight session run (one compiled
-/// program or dynamic actor).
+/// program or the companion).
 #[derive(Debug)]
 struct SessionThread {
     ready_at: u64,
@@ -108,8 +96,17 @@ struct SessionThread {
     op_cursor: usize,
     /// The program's anchor register (`Tlast` of Algorithm 3).
     anchor: u64,
-    /// The open telemetry phase span (compiled programs only).
+    /// The open telemetry phase span.
     span: Option<Phase>,
+}
+
+/// One executed scheduling turn: its true latency, the `rdtscp` value of a
+/// chase, and the phase its cycles are attributed to.
+#[derive(Debug, Clone, Copy)]
+struct Turn {
+    latency: u64,
+    measured: Option<u64>,
+    phase: Phase,
 }
 
 /// The simulated machine.
@@ -334,215 +331,58 @@ impl Machine {
         (measured, outcome)
     }
 
-    /// Runs a set of actors concurrently (one hardware thread each) until
-    /// every actor is done or `limit` cycles have elapsed.
-    ///
-    /// Actions execute atomically in global time order; each actor's next
-    /// action starts when its previous one finished, so the actors genuinely
-    /// overlap in time on the shared cache hierarchy, as two hyper-threads
-    /// do.  OS interruptions stall individual actors according to the
-    /// machine's [`InterruptConfig`].
-    pub fn run(&mut self, actors: &mut [&mut dyn Actor], limit: u64) -> RunSummary {
-        struct ThreadState {
-            ready_at: u64,
-            done: bool,
-            interrupts: InterruptModel,
-            actions: u64,
-            stalled: u64,
-        }
-
-        let mut threads: Vec<ThreadState> = (0..actors.len())
-            .map(|_| ThreadState {
-                ready_at: self.now,
-                done: false,
-                interrupts: InterruptModel::new(&self.config.interrupts, &mut self.rng),
-                actions: 0,
-                stalled: 0,
-            })
-            .collect();
-        let deadline = self.now + limit;
-        let mut hit_limit = false;
-        if self.sink.is_enabled() {
-            // The stepped executor traces at actor granularity: one span per
-            // hardware thread for the lifetime of its script.
-            for actor in actors.iter() {
-                self.sink.begin(
-                    actor.domain(),
-                    actor.name().to_owned(),
-                    Phase::Other,
-                    self.now,
-                );
-            }
-        }
-
-        loop {
-            // Pick the runnable thread with the earliest ready time.
-            let next = threads
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| !t.done)
-                .min_by_key(|(_, t)| t.ready_at)
-                .map(|(i, t)| (i, t.ready_at));
-            let Some((idx, ready_at)) = next else {
-                break; // every actor finished
-            };
-            if ready_at >= deadline {
-                hit_limit = true;
-                break;
-            }
-            self.now = self.now.max(ready_at);
-
-            // OS interruption?
-            if let Some(stall) =
-                threads[idx]
-                    .interrupts
-                    .poll(self.now, &self.config.interrupts, &mut self.rng)
-            {
-                threads[idx].ready_at = self.now + stall;
-                threads[idx].stalled += stall;
-                continue;
-            }
-
-            let action = actors[idx].next_action(self.now);
-            threads[idx].actions += 1;
-            let domain = actors[idx].domain();
-            let started = self.now;
-
-            if matches!(action, Action::Done) {
-                threads[idx].done = true;
-                self.sink
-                    .end(domain, actors[idx].name().to_owned(), self.now);
-                continue;
-            }
-            let completion = self.execute_action(domain, action, started);
-            threads[idx].ready_at = completion.finished_at;
-            actors[idx].on_completion(&completion);
-        }
-
-        // The machine clock ends at the latest point any actor reached (or
-        // the deadline when the limit was hit).
-        let end = threads
-            .iter()
-            .map(|t| t.ready_at)
-            .max()
-            .unwrap_or(self.now)
-            .min(deadline);
-        self.now = self.now.max(end);
-        if self.sink.is_enabled() {
-            // Close the spans of actors the deadline cut off, and sample
-            // each actor's turn/stall counters at the end clock.
-            for (idx, thread) in threads.iter().enumerate() {
-                let domain = actors[idx].domain();
-                if !thread.done {
-                    self.sink
-                        .end(domain, actors[idx].name().to_owned(), self.now);
-                }
-                self.sink
-                    .counter(domain, "actions", thread.actions, self.now);
-                self.sink
-                    .counter(domain, "stalled_cycles", thread.stalled, self.now);
-            }
-        }
-
-        RunSummary {
-            finished_at: self.now,
-            actions: threads.iter().map(|t| t.actions).collect(),
-            stalled_cycles: threads.iter().map(|t| t.stalled).collect(),
-            hit_limit,
+    /// Performs one demand access or flush for `ctx` without touching the
+    /// clock or the perf counters.
+    fn access(&mut self, op: TraceOp, ctx: AccessContext) -> AccessOutcome {
+        match op.kind {
+            TraceKind::Read => self.hierarchy.read(op.addr, ctx),
+            TraceKind::Write => self.hierarchy.write(op.addr, ctx),
+            TraceKind::Flush => self.hierarchy.flush(op.addr, ctx),
         }
     }
 
-    /// Executes one non-`Done` action for `domain` starting at `started` and
-    /// returns its completion — the single implementation behind both
-    /// [`Machine::run`]'s actor turns and the dynamic-actor turns of
-    /// [`Machine::run_session`].
-    fn execute_action(&mut self, domain: DomainId, action: Action, started: u64) -> Completion {
-        let mut completion = Completion {
-            finished_at: started,
-            latency: 0,
-            measured: None,
-            outcomes: Vec::new(),
-        };
-        match action {
-            Action::Done => unreachable!("Done is handled by the scheduler"),
-            Action::Load(addr) => {
-                let outcome = self.hierarchy.read(addr, AccessContext::for_domain(domain));
-                self.perf.record(domain, &outcome);
-                completion.latency = outcome.cycles;
-                completion.outcomes.push(outcome);
-            }
-            Action::Store(addr) => {
-                let outcome = self
-                    .hierarchy
-                    .write(addr, AccessContext::for_domain(domain));
-                self.perf.record(domain, &outcome);
-                completion.latency = outcome.cycles;
-                completion.outcomes.push(outcome);
-            }
-            Action::Flush(addr) => {
-                let outcome = self
-                    .hierarchy
-                    .flush(addr, AccessContext::for_domain(domain));
-                self.perf.record(domain, &outcome);
-                completion.latency = outcome.cycles;
-                completion.outcomes.push(outcome);
-            }
-            Action::MeasuredChase(addrs) => {
-                // The chase is the receiver's bulk decode path: execute
-                // it as one batched trace.  Per-line semantics (ordering,
-                // latency, perf counters) are identical, but no
-                // per-access outcome is materialised — `outcomes` stays
-                // empty for chases (see [`Completion::outcomes`]).
-                let summary = self
-                    .hierarchy
-                    .run_read_trace(&addrs, AccessContext::for_domain(domain));
-                self.perf.record_trace(domain, &summary);
-                completion.latency = summary.cycles;
-                completion.measured = Some(self.tsc.measure(summary.cycles, &mut self.rng));
-            }
-            Action::MeasuredLoad(addr) => {
-                let outcome = self.hierarchy.read(addr, AccessContext::for_domain(domain));
-                self.perf.record(domain, &outcome);
-                completion.latency = outcome.cycles;
-                completion.measured = Some(self.tsc.measure(outcome.cycles, &mut self.rng));
-                completion.outcomes.push(outcome);
-            }
-            Action::WaitUntil(target) => {
-                completion.latency = target.saturating_sub(started);
-            }
-            Action::Compute(cycles) => {
-                completion.latency = cycles;
-            }
-        }
-        // Every action costs at least one cycle of issue bandwidth; this
-        // also guarantees forward progress for zero-length waits.
-        completion.finished_at = started + completion.latency.max(1);
-        completion
-    }
-
-    /// Runs a set of compiled [`TraceProgram`]s — optionally alongside
-    /// dynamic [`Actor`]s — until every thread is done or `limit` cycles
-    /// have elapsed.
+    /// Runs a set of compiled [`TraceProgram`]s, plus an optional endless
+    /// `g++` companion, one hardware thread each, until every program is done
+    /// or `limit` cycles have elapsed.
     ///
-    /// The scheduling semantics are **identical** to [`Machine::run`] with
-    /// the programs' operations issued as individual actions by actors
-    /// listed before `extras`: one scheduling turn per operation, an
-    /// OS-interrupt poll before every turn, earliest-ready-first order with
-    /// lowest-index tie-breaking, a minimum advance of one cycle per action,
-    /// and the same deadline rule.  What changes is purely mechanical: no
-    /// per-action allocation or virtual dispatch for compiled programs,
-    /// per-program perf accounting folded into one [`TraceSummary`] (the
-    /// batched [`PerfCounters::record_trace`] path), and consecutive
-    /// operations of one program executed back-to-back whenever no other
-    /// thread, interrupt or deadline could be scheduled between them.
+    /// Scheduling rules:
+    ///
+    /// * every operation, chase and wait is one scheduling turn, and a
+    ///   finished program takes one final Done turn (anchor markers are
+    ///   free);
+    /// * each turn costs at least one cycle;
+    /// * a thread's OS-interrupt model is polled before each of its turns;
+    /// * the runnable thread with the earliest ready time goes next, the
+    ///   lowest index on ties; the companion has the highest index;
+    /// * the session stops when the next turn would start at or after
+    ///   `now + limit`.
+    ///
+    /// Consecutive turns of one thread run back-to-back, without going
+    /// through the scheduler, whenever no other thread, interrupt or deadline
+    /// could be scheduled between them.  A naive per-turn stepper in this
+    /// module's tests pins that this shortcut is unobservable.
+    ///
+    /// Each program's memory operations are folded into its
+    /// [`ProgramReport::summary`] and, once at the end, into the perf
+    /// counters.  The companion draws its turns lazily from
+    /// [`CompilerWorkload::next_turn`] and is reported last, as a program
+    /// named `g++`.
     pub fn run_session(
         &mut self,
         programs: &[TraceProgram],
-        extras: &mut [&mut dyn Actor],
+        mut companion: Option<&mut CompilerWorkload>,
         limit: u64,
     ) -> SessionReport {
-        let total = programs.len() + extras.len();
-        let mut threads: Vec<SessionThread> = (0..total)
+        let mut reports: Vec<ProgramReport> = programs
+            .iter()
+            .map(|p| ProgramReport::new(p.name(), p.domain()))
+            .chain(
+                companion
+                    .as_deref()
+                    .map(|c| ProgramReport::new(c.name(), c.domain())),
+            )
+            .collect();
+        let mut threads: Vec<SessionThread> = (0..reports.len())
             .map(|_| SessionThread {
                 ready_at: self.now,
                 done: false,
@@ -555,33 +395,8 @@ impl Machine {
                 span: None,
             })
             .collect();
-        let mut reports: Vec<ProgramReport> = programs
-            .iter()
-            .map(|p| ProgramReport {
-                name: p.name().to_owned(),
-                domain: p.domain(),
-                summary: TraceSummary::default(),
-                measurements: Vec::new(),
-                actions: 0,
-                stalled_cycles: 0,
-                finished: false,
-                phase_cycles: PhaseCycles::default(),
-            })
-            .collect();
         let deadline = self.now + limit;
         let mut hit_limit = false;
-        if self.sink.is_enabled() {
-            // Dynamic actors trace at actor granularity, like Machine::run;
-            // compiled programs get phase spans from their step annotations.
-            for actor in extras.iter() {
-                self.sink.begin(
-                    actor.domain(),
-                    actor.name().to_owned(),
-                    Phase::Other,
-                    self.now,
-                );
-            }
-        }
 
         loop {
             // Pick the runnable thread with the earliest ready time (the
@@ -612,28 +427,7 @@ impl Machine {
                 continue;
             }
 
-            if idx >= programs.len() {
-                // ---- dynamic actor turn (identical to Machine::run) ------
-                let actor = &mut extras[idx - programs.len()];
-                let action = actor.next_action(self.now);
-                threads[idx].actions += 1;
-                let domain = actor.domain();
-                let started = self.now;
-                if matches!(action, Action::Done) {
-                    threads[idx].done = true;
-                    self.sink.end(domain, actor.name().to_owned(), self.now);
-                    continue;
-                }
-                let completion = self.execute_action(domain, action, started);
-                threads[idx].ready_at = completion.finished_at;
-                actor.on_completion(&completion);
-                continue;
-            }
-
-            // ---- compiled program turn -------------------------------------
-            let program = &programs[idx];
-            let ctx = AccessContext::for_domain(program.domain());
-            // The earliest other live thread bounds how far this program may
+            // The earliest other live thread bounds how far this thread may
             // run without rescheduling; a tie goes to the lower index.
             let mut other_min = u64::MAX;
             let mut other_idx = usize::MAX;
@@ -646,95 +440,49 @@ impl Machine {
             let runs_before_others =
                 |at: u64| at < other_min || (at == other_min && idx < other_idx);
 
+            let domain = reports[idx].domain;
             loop {
                 let thread = &mut threads[idx];
-                // Anchor markers are free: the anchor is the issue time of
-                // the next real operation (interrupt stalls included).
-                while let Some(TraceStep::Anchor) = program.steps().get(thread.step) {
-                    thread.anchor = self.now;
-                    thread.step += 1;
-                }
-                let Some(&step) = program.steps().get(thread.step) else {
+                let report = &mut reports[idx];
+                let started = self.now;
+                let turn = match programs.get(idx) {
+                    Some(program) => self.program_turn(program, thread, report),
+                    None => companion
+                        .as_deref_mut()
+                        .map(|workload| self.companion_turn(workload, report)),
+                };
+                let Some(Turn {
+                    latency,
+                    measured,
+                    phase,
+                }) = turn
+                else {
                     // The Done turn.
                     thread.actions += 1;
                     thread.done = true;
-                    reports[idx].finished = true;
+                    report.finished = true;
                     if let Some(prev) = thread.span.take() {
-                        self.sink.end(program.domain(), prev.label(), self.now);
+                        self.sink.end(domain, prev.label(), self.now);
                     }
                     break;
                 };
-                let step_index = thread.step;
-                let started = self.now;
-                let mut measured = None;
-                let latency = match step {
-                    TraceStep::Ops { start, end } => {
-                        let op = program.op_arena()[start + thread.op_cursor];
-                        thread.op_cursor += 1;
-                        if start + thread.op_cursor == end {
-                            thread.step += 1;
-                            thread.op_cursor = 0;
-                        }
-                        let outcome = match op.kind {
-                            TraceKind::Read => self.hierarchy.read(op.addr, ctx),
-                            TraceKind::Write => self.hierarchy.write(op.addr, ctx),
-                            TraceKind::Flush => self.hierarchy.flush(op.addr, ctx),
-                        };
-                        reports[idx].summary.absorb(&outcome);
-                        outcome.cycles
-                    }
-                    TraceStep::Chase { start, end } => {
-                        thread.step += 1;
-                        let summary = self
-                            .hierarchy
-                            .run_read_trace(&program.chase_arena()[start..end], ctx);
-                        reports[idx].summary.merge(&summary);
-                        measured = Some(self.tsc.measure(summary.cycles, &mut self.rng));
-                        summary.cycles
-                    }
-                    TraceStep::WaitUntil { target } => {
-                        thread.step += 1;
-                        target.saturating_sub(started)
-                    }
-                    TraceStep::WaitEpoch { target } => {
-                        thread.step += 1;
-                        thread.anchor = target;
-                        target.saturating_sub(started)
-                    }
-                    TraceStep::WaitAnchor { offset } => {
-                        thread.step += 1;
-                        (thread.anchor + offset).saturating_sub(started)
-                    }
-                    TraceStep::WaitFloor { floor, offset } => {
-                        thread.step += 1;
-                        thread.anchor = started.max(floor);
-                        (thread.anchor + offset).saturating_sub(started)
-                    }
-                    TraceStep::WaitRel { offset } => {
-                        thread.step += 1;
-                        offset
-                    }
-                    TraceStep::Anchor => unreachable!("markers are consumed above"),
-                };
-                let thread = &mut threads[idx];
                 let finished_at = started + latency.max(1);
                 // Per-phase cycle attribution from the compiler's step
                 // annotations — sim-cycle arithmetic, always on, identical
                 // whether or not the sink records.
-                let phase = program.step_phase(step_index);
-                reports[idx].phase_cycles.add(phase, finished_at - started);
+                report.phase_cycles.add(phase, finished_at - started);
                 if self.sink.is_enabled() && thread.span != Some(phase) {
                     // One batched append per span switch: no per-event
                     // allocation (phase labels are 'static) and a single
                     // enabled check for the end/begin pair.
                     self.sink
-                        .phase_switch(program.domain(), thread.span.take(), phase, started);
+                        .phase_switch(domain, thread.span.take(), phase, started);
                     thread.span = Some(phase);
                 }
                 thread.ready_at = finished_at;
                 thread.actions += 1;
                 if let Some(measured) = measured {
-                    reports[idx].measurements.push(Measurement {
+                    report.measurements.push(Measurement {
                         at: finished_at,
                         measured,
                     });
@@ -745,14 +493,13 @@ impl Machine {
                 // due, and (c) the deadline is not reached — i.e. exactly
                 // when the outer scheduler would pick this thread again with
                 // nothing observable in between.
-                let next_at = finished_at;
-                if !(runs_before_others(next_at)
-                    && next_at < thread.interrupts.next_at()
-                    && next_at < deadline)
+                if !(runs_before_others(finished_at)
+                    && finished_at < thread.interrupts.next_at()
+                    && finished_at < deadline)
                 {
                     break;
                 }
-                self.now = next_at;
+                self.now = finished_at;
             }
         }
 
@@ -766,34 +513,22 @@ impl Machine {
             .min(deadline);
         self.now = self.now.max(end);
 
-        // Fold each program's aggregate into the perf counters — the batched
-        // equivalent of the per-access recording the actor path performs.
-        for (program, report) in programs.iter().zip(reports.iter_mut()) {
-            self.perf.record_trace(program.domain(), &report.summary);
-        }
-        for (thread, report) in threads.iter().zip(reports.iter_mut()) {
+        // Fold each thread's aggregate into the perf counters — the batched
+        // equivalent of recording every access as it happens.
+        for (thread, report) in threads.iter_mut().zip(reports.iter_mut()) {
+            self.perf.record_trace(report.domain, &report.summary);
             report.actions = thread.actions;
             report.stalled_cycles = thread.stalled;
-        }
-        if self.sink.is_enabled() {
-            // Close the spans the deadline cut off (program phase spans and
-            // unfinished dynamic actors), then sample per-thread counters.
-            for (idx, thread) in threads.iter_mut().enumerate() {
-                let (domain, name) = if idx < programs.len() {
-                    (programs[idx].domain(), programs[idx].name())
-                } else {
-                    let actor = &extras[idx - programs.len()];
-                    (actor.domain(), actor.name())
-                };
+            if self.sink.is_enabled() {
+                // Close the span the deadline cut off, then sample the
+                // thread's counters.
                 if let Some(prev) = thread.span.take() {
-                    self.sink.end(domain, prev.label(), self.now);
-                } else if idx >= programs.len() && !thread.done {
-                    self.sink.end(domain, name.to_owned(), self.now);
+                    self.sink.end(report.domain, prev.label(), self.now);
                 }
                 self.sink
-                    .counter(domain, "actions", thread.actions, self.now);
+                    .counter(report.domain, "actions", thread.actions, self.now);
                 self.sink
-                    .counter(domain, "stalled_cycles", thread.stalled, self.now);
+                    .counter(report.domain, "stalled_cycles", thread.stalled, self.now);
             }
         }
 
@@ -801,14 +536,98 @@ impl Machine {
             finished_at: self.now,
             hit_limit,
             programs: reports,
-            actor_actions: threads[programs.len()..]
-                .iter()
-                .map(|t| t.actions)
-                .collect(),
-            actor_stalled: threads[programs.len()..]
-                .iter()
-                .map(|t| t.stalled)
-                .collect(),
+        }
+    }
+
+    /// Executes the next turn of `program` — one op, chase or wait — at the
+    /// current cycle, or returns `None` for its Done turn.
+    fn program_turn(
+        &mut self,
+        program: &TraceProgram,
+        thread: &mut SessionThread,
+        report: &mut ProgramReport,
+    ) -> Option<Turn> {
+        // Anchor markers are free: the anchor is the issue time of the next
+        // real operation (interrupt stalls included).
+        while let Some(TraceStep::Anchor) = program.steps().get(thread.step) {
+            thread.anchor = self.now;
+            thread.step += 1;
+        }
+        let step = *program.steps().get(thread.step)?;
+        let phase = program.step_phase(thread.step);
+        let started = self.now;
+        let mut measured = None;
+        let latency = match step {
+            TraceStep::Ops { start, end } => {
+                let op = program.op_arena()[start + thread.op_cursor];
+                thread.op_cursor += 1;
+                if start + thread.op_cursor == end {
+                    thread.step += 1;
+                    thread.op_cursor = 0;
+                }
+                let outcome = self.access(op, AccessContext::for_domain(program.domain()));
+                report.summary.absorb(&outcome);
+                outcome.cycles
+            }
+            TraceStep::Chase { start, end } => {
+                thread.step += 1;
+                let summary = self.hierarchy.run_read_trace(
+                    &program.chase_arena()[start..end],
+                    AccessContext::for_domain(program.domain()),
+                );
+                report.summary.merge(&summary);
+                measured = Some(self.tsc.measure(summary.cycles, &mut self.rng));
+                summary.cycles
+            }
+            TraceStep::WaitUntil { target } => {
+                thread.step += 1;
+                target.saturating_sub(started)
+            }
+            TraceStep::WaitEpoch { target } => {
+                thread.step += 1;
+                thread.anchor = target;
+                target.saturating_sub(started)
+            }
+            TraceStep::WaitAnchor { offset } => {
+                thread.step += 1;
+                (thread.anchor + offset).saturating_sub(started)
+            }
+            TraceStep::WaitFloor { floor, offset } => {
+                thread.step += 1;
+                thread.anchor = started.max(floor);
+                (thread.anchor + offset).saturating_sub(started)
+            }
+            TraceStep::WaitRel { offset } => {
+                thread.step += 1;
+                offset
+            }
+            TraceStep::Anchor => unreachable!("markers are consumed above"),
+        };
+        Some(Turn {
+            latency,
+            measured,
+            phase,
+        })
+    }
+
+    /// Executes the companion's next turn at the current cycle.
+    fn companion_turn(
+        &mut self,
+        workload: &mut CompilerWorkload,
+        report: &mut ProgramReport,
+    ) -> Turn {
+        let latency = match workload.next_turn() {
+            WorkloadTurn::Op(op) => {
+                let outcome = self.access(op, AccessContext::for_domain(workload.domain()));
+                report.summary.absorb(&outcome);
+                outcome.cycles
+            }
+            WorkloadTurn::Think(cycles) => cycles,
+        };
+        Turn {
+            latency,
+            measured: None,
+            phase: Phase::Other,
         }
     }
 }
@@ -818,11 +637,218 @@ mod tests {
     use super::*;
     use crate::memlayout::SetLines;
     use crate::process::{AddressSpace, ProcessId};
-    use crate::program::ScriptedActor;
+    use crate::workload::CompilerWorkloadConfig;
+    use proptest::prelude::*;
     use sim_cache::outcome::HitLevel;
 
     fn ideal_machine() -> Machine {
         Machine::new(MachineConfig::ideal(PolicyKind::TrueLru, 7)).unwrap()
+    }
+
+    /// One turn of a program flattened for [`naive_run`].
+    #[derive(Debug)]
+    enum NaiveTurn {
+        Anchor,
+        Op(TraceOp),
+        Chase(Vec<PhysAddr>),
+        Wait(TraceStep),
+    }
+
+    /// A deliberately naive reference for [`Machine::run_session`]: the same
+    /// scheduling rules, but every turn of every thread goes back through
+    /// the scheduler (no back-to-back runs), each program is first flattened
+    /// into one entry per turn, and every access is recorded in the perf
+    /// counters as it happens.
+    fn naive_run(
+        machine: &mut Machine,
+        programs: &[TraceProgram],
+        mut companion: Option<&mut CompilerWorkload>,
+        limit: u64,
+    ) -> SessionReport {
+        struct Thread {
+            turns: Vec<(NaiveTurn, Phase)>,
+            next: usize,
+            anchor: u64,
+            ready_at: u64,
+            done: bool,
+            interrupts: InterruptModel,
+        }
+        let mut flattened: Vec<Vec<(NaiveTurn, Phase)>> = Vec::new();
+        let mut reports = Vec::new();
+        for program in programs {
+            let mut turns = Vec::new();
+            for (index, &step) in program.steps().iter().enumerate() {
+                let phase = program.step_phase(index);
+                match step {
+                    TraceStep::Anchor => turns.push((NaiveTurn::Anchor, phase)),
+                    TraceStep::Ops { start, end } => {
+                        for &op in &program.op_arena()[start..end] {
+                            turns.push((NaiveTurn::Op(op), phase));
+                        }
+                    }
+                    TraceStep::Chase { start, end } => turns.push((
+                        NaiveTurn::Chase(program.chase_arena()[start..end].to_vec()),
+                        phase,
+                    )),
+                    wait => turns.push((NaiveTurn::Wait(wait), phase)),
+                }
+            }
+            flattened.push(turns);
+            reports.push(ProgramReport::new(program.name(), program.domain()));
+        }
+        if let Some(workload) = companion.as_deref() {
+            flattened.push(Vec::new());
+            reports.push(ProgramReport::new(workload.name(), workload.domain()));
+        }
+        let start = machine.now;
+        let mut threads: Vec<Thread> = flattened
+            .into_iter()
+            .map(|turns| Thread {
+                turns,
+                next: 0,
+                anchor: start,
+                ready_at: start,
+                done: false,
+                interrupts: InterruptModel::new(&machine.config.interrupts, &mut machine.rng),
+            })
+            .collect();
+        let deadline = start + limit;
+        let mut hit_limit = false;
+        loop {
+            let mut pick: Option<usize> = None;
+            for (i, t) in threads.iter().enumerate() {
+                if !t.done && pick.map_or(true, |p| t.ready_at < threads[p].ready_at) {
+                    pick = Some(i);
+                }
+            }
+            let Some(idx) = pick else { break };
+            if threads[idx].ready_at >= deadline {
+                hit_limit = true;
+                break;
+            }
+            machine.now = machine.now.max(threads[idx].ready_at);
+            let now = machine.now;
+            let thread = &mut threads[idx];
+            if let Some(stall) =
+                thread
+                    .interrupts
+                    .poll(now, &machine.config.interrupts, &mut machine.rng)
+            {
+                thread.ready_at = now + stall;
+                reports[idx].stalled_cycles += stall;
+                continue;
+            }
+            let report = &mut reports[idx];
+            let domain = report.domain;
+            let ctx = AccessContext::for_domain(domain);
+            report.actions += 1;
+            let mut measured = None;
+            let mut access = |machine: &mut Machine, op: TraceOp| {
+                let outcome = match op.kind {
+                    TraceKind::Read => machine.hierarchy.read(op.addr, ctx),
+                    TraceKind::Write => machine.hierarchy.write(op.addr, ctx),
+                    TraceKind::Flush => machine.hierarchy.flush(op.addr, ctx),
+                };
+                machine.perf.record(domain, &outcome);
+                report.summary.absorb(&outcome);
+                outcome.cycles
+            };
+            let (latency, phase) = if idx == programs.len() {
+                let workload = companion.as_deref_mut().unwrap();
+                let latency = match workload.next_turn() {
+                    WorkloadTurn::Op(op) => access(machine, op),
+                    WorkloadTurn::Think(cycles) => cycles,
+                };
+                (latency, Phase::Other)
+            } else {
+                while let Some((NaiveTurn::Anchor, _)) = thread.turns.get(thread.next) {
+                    thread.anchor = now;
+                    thread.next += 1;
+                }
+                let Some((turn, phase)) = thread.turns.get(thread.next) else {
+                    thread.done = true;
+                    report.finished = true;
+                    continue;
+                };
+                thread.next += 1;
+                let latency = match turn {
+                    NaiveTurn::Anchor => unreachable!("skipped above"),
+                    NaiveTurn::Op(op) => access(machine, *op),
+                    NaiveTurn::Chase(addrs) => {
+                        let summary = machine.hierarchy.run_read_trace(addrs, ctx);
+                        machine.perf.record_trace(domain, &summary);
+                        report.summary.merge(&summary);
+                        measured = Some(machine.tsc.measure(summary.cycles, &mut machine.rng));
+                        summary.cycles
+                    }
+                    NaiveTurn::Wait(TraceStep::WaitUntil { target }) => target.saturating_sub(now),
+                    NaiveTurn::Wait(TraceStep::WaitEpoch { target }) => {
+                        thread.anchor = *target;
+                        target.saturating_sub(now)
+                    }
+                    NaiveTurn::Wait(TraceStep::WaitAnchor { offset }) => {
+                        (thread.anchor + offset).saturating_sub(now)
+                    }
+                    NaiveTurn::Wait(TraceStep::WaitFloor { floor, offset }) => {
+                        thread.anchor = now.max(*floor);
+                        (thread.anchor + offset).saturating_sub(now)
+                    }
+                    NaiveTurn::Wait(TraceStep::WaitRel { offset }) => *offset,
+                    NaiveTurn::Wait(step) => unreachable!("not a wait: {step:?}"),
+                };
+                (latency, *phase)
+            };
+            let finished_at = now + latency.max(1);
+            report.phase_cycles.add(phase, finished_at - now);
+            if let Some(measured) = measured {
+                report.measurements.push(Measurement {
+                    at: finished_at,
+                    measured,
+                });
+            }
+            thread.ready_at = finished_at;
+        }
+        let end = threads.iter().map(|t| t.ready_at).max().unwrap_or(start);
+        machine.now = machine.now.max(end.min(deadline));
+        SessionReport {
+            finished_at: machine.now,
+            hit_limit,
+            programs: reports,
+        }
+    }
+
+    /// Runs the same session through [`Machine::run_session`] and
+    /// [`naive_run`] on two fresh machines and asserts they are
+    /// indistinguishable afterwards.
+    fn assert_matches_naive(
+        config: MachineConfig,
+        programs: &[TraceProgram],
+        companion_seed: Option<u64>,
+        limit: u64,
+    ) -> SessionReport {
+        let companion = || {
+            companion_seed.map(|seed| {
+                CompilerWorkload::new(
+                    AddressSpace::new(ProcessId(4)),
+                    4,
+                    CompilerWorkloadConfig::default(),
+                    seed,
+                )
+            })
+        };
+        let mut fast = Machine::new(config).unwrap();
+        let mut fast_companion = companion();
+        let report = fast.run_session(programs, fast_companion.as_mut(), limit);
+        let mut naive = Machine::new(config).unwrap();
+        let mut naive_companion = companion();
+        let reference = naive_run(&mut naive, programs, naive_companion.as_mut(), limit);
+        assert_eq!(report, reference);
+        assert_eq!(fast.now(), naive.now());
+        for domain in 0..8 {
+            assert_eq!(fast.perf(domain), naive.perf(domain), "domain {domain}");
+        }
+        assert_eq!(fast.hierarchy().stats(), naive.hierarchy().stats());
+        report
     }
 
     #[test]
@@ -914,75 +940,57 @@ mod tests {
 
     #[test]
     fn run_interleaves_two_actors_in_time() {
-        let mut m = ideal_machine();
+        let config = MachineConfig::ideal(PolicyKind::TrueLru, 7);
         let a_addr = PhysAddr(0x10_0000);
         let b_addr = PhysAddr(0x20_0000);
-        let mut a = ScriptedActor::new(
-            "a",
-            1,
-            vec![
-                Action::Load(a_addr),
-                Action::Compute(50),
-                Action::Load(a_addr),
-            ],
-        );
-        let mut b = ScriptedActor::new("b", 2, vec![Action::Compute(10), Action::Load(b_addr)]);
-        let summary = {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut a, &mut b];
-            m.run(&mut actors, 1_000_000)
-        };
-        assert!(!summary.hit_limit);
-        assert_eq!(
-            summary.actions,
-            vec![4, 3],
-            "each actor runs its script plus Done"
-        );
-        assert_eq!(a.completions().len(), 3);
-        assert_eq!(b.completions().len(), 2);
+        let mut a = TraceProgram::new("a", 1);
+        a.load(a_addr).wait_rel(50).load(a_addr);
+        let mut b = TraceProgram::new("b", 2);
+        b.wait_rel(10).load(b_addr);
+        let report = assert_matches_naive(config, &[a.clone(), b.clone()], None, 1_000_000);
+        assert!(!report.hit_limit);
+        let actions: Vec<u64> = report.programs.iter().map(|p| p.actions).collect();
+        assert_eq!(actions, vec![4, 3], "each program runs its steps plus Done");
         // The second load of `a` is an L1 hit because the first one filled it.
-        assert_eq!(a.completions()[2].outcomes[0].hit, HitLevel::L1D);
-        // Completion times are monotone per actor.
-        assert!(a.completions()[0].finished_at < a.completions()[1].finished_at);
+        assert_eq!(report.programs[0].summary.l1_hits, 1);
+        // The two threads overlap in time: the session lasts as long as the
+        // longer program alone, not as long as both back to back.
+        let alone = |program: &TraceProgram| {
+            let mut machine = Machine::new(config).unwrap();
+            machine.run_session(std::slice::from_ref(program), None, 1_000_000);
+            machine.now()
+        };
+        assert_eq!(report.finished_at, alone(&a).max(alone(&b)));
     }
 
     #[test]
     fn run_honours_the_cycle_limit() {
-        let mut m = ideal_machine();
-        // An actor that computes forever.
-        struct Spinner;
-        impl Actor for Spinner {
-            fn name(&self) -> &str {
-                "spinner"
-            }
-            fn domain(&self) -> DomainId {
-                9
-            }
-            fn next_action(&mut self, _now: u64) -> Action {
-                Action::Compute(100)
-            }
-            fn on_completion(&mut self, _completion: &Completion) {}
-        }
-        let mut spinner = Spinner;
-        let summary = {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut spinner];
-            m.run(&mut actors, 10_000)
-        };
-        assert!(summary.hit_limit);
-        assert!(summary.finished_at <= 10_000);
-        assert!(summary.actions[0] >= 90);
+        // The g++ companion never finishes: only the limit ends the session.
+        let report = assert_matches_naive(
+            MachineConfig::ideal(PolicyKind::TrueLru, 7),
+            &[],
+            Some(9),
+            10_000,
+        );
+        assert!(report.hit_limit);
+        assert!(report.finished_at <= 10_000);
+        let companion = &report.programs[0];
+        assert_eq!(companion.name, "g++");
+        assert!(!companion.finished);
+        assert!(companion.actions >= 90, "turns: {}", companion.actions);
     }
 
     #[test]
     fn wait_until_lands_on_the_requested_cycle() {
         let mut m = ideal_machine();
-        let mut actor =
-            ScriptedActor::new("w", 1, vec![Action::WaitUntil(5_000), Action::Compute(1)]);
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut actor];
-            m.run(&mut actors, 100_000);
-        }
-        assert_eq!(actor.completions()[0].finished_at, 5_000);
-        assert_eq!(actor.completions()[1].finished_at, 5_001);
+        let mut program = TraceProgram::new("w", 1);
+        program.wait_until(5_000);
+        let report = m.run_session(std::slice::from_ref(&program), None, 100_000);
+        assert_eq!(report.finished_at, 5_000);
+        let mut m = ideal_machine();
+        program.wait_rel(1);
+        let report = m.run_session(std::slice::from_ref(&program), None, 100_000);
+        assert_eq!(report.finished_at, 5_001);
     }
 
     #[test]
@@ -994,88 +1002,45 @@ mod tests {
             duration: 500,
             duration_jitter: 0,
         };
-        let mut m = Machine::new(config).unwrap();
-        let script = vec![Action::Compute(100); 100];
-        let mut actor = ScriptedActor::new("busy", 1, script);
-        let summary = {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut actor];
-            m.run(&mut actors, 1_000_000)
-        };
+        let mut program = TraceProgram::new("busy", 1);
+        for _ in 0..100 {
+            program.wait_rel(100);
+        }
+        let report = assert_matches_naive(config, &[program], None, 1_000_000);
         assert!(
-            summary.stalled_cycles[0] > 0,
-            "the actor must have been preempted"
+            report.programs[0].stalled_cycles > 0,
+            "the thread must have been preempted"
         );
     }
 
-    /// Builds the same workload twice — scripted actors for [`Machine::run`]
-    /// and compiled programs for [`Machine::run_session`] — and asserts the
-    /// two executors observe identical machines afterwards.
-    fn assert_session_matches_run(config: MachineConfig, limit: u64) {
+    /// The fixed two-program workload of the executor-reference tests:
+    /// loads, an absolute wait, a measured chase, a store and a flush on one
+    /// thread; interleaved loads, a wait and a store on another set.
+    fn two_program_workload() -> [TraceProgram; 2] {
         let g = CacheGeometry::xeon_l1d();
         let line = |set: usize, tag: u64| PhysAddr::from_set_and_tag(set, tag, g);
-
-        // Thread 0: loads, an absolute wait, a measured chase, stores.
         let chase: Vec<PhysAddr> = (0..10).map(|t| line(21, 1_000 + t)).collect();
-        let script_a = vec![
-            Action::Load(line(21, 0)),
-            Action::Load(line(21, 1)),
-            Action::WaitUntil(4_000),
-            Action::MeasuredChase(chase.clone()),
-            Action::Store(line(21, 2)),
-            Action::Flush(line(21, 1)),
-        ];
-        // Thread 1: interleaved loads and waits on another set.
-        let script_b = vec![
-            Action::Load(line(7, 0)),
-            Action::WaitUntil(2_500),
-            Action::Store(line(7, 1)),
-            Action::Load(line(7, 0)),
-        ];
-
-        let mut run_machine = Machine::new(config).unwrap();
-        let mut a = ScriptedActor::new("a", 1, script_a);
-        let mut b = ScriptedActor::new("b", 2, script_b.clone());
-        let summary = {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut a, &mut b];
-            run_machine.run(&mut actors, limit)
-        };
-
-        let mut program = TraceProgram::new("a", 1);
-        program
-            .load(line(21, 0))
+        let mut a = TraceProgram::new("a", 1);
+        a.load(line(21, 0))
             .load(line(21, 1))
             .wait_until(4_000)
             .chase(&chase)
             .store(line(21, 2))
             .ops([TraceOp::flush(line(21, 1))]);
-        let mut session_machine = Machine::new(config).unwrap();
-        let mut b2 = ScriptedActor::new("b", 2, script_b);
-        let report = {
-            let mut extras: Vec<&mut dyn Actor> = vec![&mut b2];
-            session_machine.run_session(std::slice::from_ref(&program), &mut extras, limit)
-        };
-
-        assert_eq!(report.finished_at, summary.finished_at);
-        assert_eq!(report.hit_limit, summary.hit_limit);
-        assert_eq!(session_machine.now(), run_machine.now());
-        assert_eq!(session_machine.perf(1), run_machine.perf(1));
-        assert_eq!(session_machine.perf(2), run_machine.perf(2));
-        assert_eq!(
-            session_machine.hierarchy().stats(),
-            run_machine.hierarchy().stats()
-        );
-        assert_eq!(report.programs[0].latencies(), a.measurements());
-        assert_eq!(report.programs[0].actions, summary.actions[0]);
-        assert_eq!(report.actor_actions, vec![summary.actions[1]]);
-        assert_eq!(
-            report.programs[0].stalled_cycles + report.actor_stalled[0],
-            summary.stalled_cycles.iter().sum::<u64>()
-        );
+        let mut b = TraceProgram::new("b", 2);
+        b.load(line(7, 0))
+            .wait_until(2_500)
+            .store(line(7, 1))
+            .load(line(7, 0));
+        [a, b]
     }
 
     #[test]
     fn run_session_matches_run_on_an_ideal_machine() {
-        assert_session_matches_run(MachineConfig::ideal(PolicyKind::TreePlru, 5), 1_000_000);
+        let config = MachineConfig::ideal(PolicyKind::TreePlru, 5);
+        let report = assert_matches_naive(config, &two_program_workload(), None, 1_000_000);
+        assert!(report.programs.iter().all(|p| p.finished));
+        assert_matches_naive(config, &two_program_workload(), Some(3), 1_000_000);
     }
 
     #[test]
@@ -1090,7 +1055,9 @@ mod tests {
             duration: 400,
             duration_jitter: 150,
         };
-        assert_session_matches_run(config, 1_000_000);
+        let report = assert_matches_naive(config, &two_program_workload(), None, 1_000_000);
+        assert!(report.programs.iter().any(|p| p.stalled_cycles > 0));
+        assert_matches_naive(config, &two_program_workload(), Some(3), 1_000_000);
     }
 
     #[test]
@@ -1102,7 +1069,69 @@ mod tests {
             duration: 500,
             duration_jitter: 0,
         };
-        assert_session_matches_run(config, 3_000);
+        let report = assert_matches_naive(config, &two_program_workload(), None, 3_000);
+        assert!(report.hit_limit);
+        assert_eq!(report.finished_at, 3_000);
+    }
+
+    /// Builds a program from `(kind, value)` pairs covering every step type.
+    fn arbitrary_program(name: &str, domain: DomainId, steps: &[(u8, u64)]) -> TraceProgram {
+        let mut program = TraceProgram::new(name, domain);
+        for &(kind, value) in steps {
+            let addr = PhysAddr((value % 4_096) * 64);
+            program.phase(Phase::ALL[value as usize % Phase::ALL.len()]);
+            match kind {
+                0 => program.load(addr),
+                1 => program.store(addr),
+                2 => program.ops([
+                    TraceOp::flush(addr),
+                    TraceOp::read(addr),
+                    TraceOp::write(addr),
+                ]),
+                3 => program.chase(&[addr, PhysAddr(addr.value() ^ 0x1_0000)]),
+                4 => program.wait_until(value % 20_000),
+                5 => program.wait_epoch(value % 20_000),
+                6 => program.wait_anchor(value % 900),
+                7 => program.wait_floor(value % 20_000, value % 300),
+                8 => program.wait_rel(value % 400),
+                _ => program.anchor(),
+            };
+        }
+        program
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random 2–3-program sets, with interrupts and TSC noise on, an
+        /// optional companion and limits that often cut the session short:
+        /// the back-to-back executor is indistinguishable from the naive one.
+        #[test]
+        fn run_session_matches_the_naive_stepper_on_random_programs(
+            programs in proptest::collection::vec(
+                proptest::collection::vec((0u8..10, 0u64..1_000_000), 0..40),
+                2..4,
+            ),
+            seed in 0u64..1_000,
+            period in 200u64..4_000,
+            companion in 0u64..3,
+            limit in 1u64..60_000,
+        ) {
+            let mut config = MachineConfig::xeon_e5_2650(PolicyKind::TreePlru, seed);
+            config.interrupts = InterruptConfig {
+                period,
+                period_jitter: period / 2,
+                duration: 150,
+                duration_jitter: 100,
+            };
+            let programs: Vec<TraceProgram> = programs
+                .iter()
+                .enumerate()
+                .map(|(i, steps)| arbitrary_program("p", i as DomainId + 1, steps))
+                .collect();
+            let companion = (companion == 0).then_some(seed);
+            assert_matches_naive(config, &programs, companion, limit);
+        }
     }
 
     #[test]
@@ -1119,7 +1148,7 @@ mod tests {
             .anchor()
             .store(addr)
             .wait_anchor(5_000);
-        let report = machine.run_session(std::slice::from_ref(&program), &mut [], 1_000_000);
+        let report = machine.run_session(std::slice::from_ref(&program), None, 1_000_000);
         assert!(report.programs[0].finished);
         // First store issues at the epoch; the first period's wait ends at
         // epoch + period; the second period's wait is anchored at the second
@@ -1151,12 +1180,12 @@ mod tests {
         };
 
         let mut plain = Machine::new(config).unwrap();
-        let silent = plain.run_session(std::slice::from_ref(&build()), &mut [], 100_000);
+        let silent = plain.run_session(std::slice::from_ref(&build()), None, 100_000);
         assert!(plain.take_trace().is_empty(), "null sink records nothing");
 
         let mut traced = Machine::new(config).unwrap();
         traced.enable_tracing();
-        let observed = traced.run_session(std::slice::from_ref(&build()), &mut [], 100_000);
+        let observed = traced.run_session(std::slice::from_ref(&build()), None, 100_000);
 
         // Bit-identical results: the sink only observes.
         assert_eq!(observed, silent);

@@ -1,23 +1,20 @@
-//! Noise processes.
+//! The noisy-neighbour process.
 //!
 //! Section VI of the paper analyses how "noisy cache lines" — lines loaded
 //! into the target set by other code on the core — disturb the LRU channel
-//! but barely affect the WB channel (Figure 8).  [`NoisyNeighbor`] is the
-//! actor that produces exactly that interference: it periodically touches
-//! lines that map to the attacked set.  [`RandomPolluter`] produces broad,
-//! unfocused cache pressure, which is the background noise profile of a busy
-//! core.
+//! but barely affect the WB channel (Figure 8).  [`NoisyNeighbor`] produces
+//! exactly that interference: it periodically touches lines that map to the
+//! attacked set.
 
 use crate::memlayout::SetLines;
 use crate::process::AddressSpace;
-use crate::program::{Action, Actor, Completion};
 use crate::session::TraceProgram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_cache::addr::CacheGeometry;
 use sim_cache::line::DomainId;
 
-/// An actor that injects "noisy cache lines" into one target set.
+/// A process that injects "noisy cache lines" into one target set.
 #[derive(Debug)]
 pub struct NoisyNeighbor {
     name: String,
@@ -30,12 +27,8 @@ pub struct NoisyNeighbor {
     /// store noise is the stronger variant discussed in Sec. VI's closing
     /// caveat.
     store_fraction: f64,
-    /// The construction seed (kept so [`NoisyNeighbor::compile`] can replay
-    /// the identical load/store stream from the start).
+    /// The seed of the load/store decision stream.
     seed: u64,
-    rng: StdRng,
-    next_line: usize,
-    waiting: bool,
 }
 
 impl NoisyNeighbor {
@@ -59,20 +52,18 @@ impl NoisyNeighbor {
             interval: interval.max(1),
             store_fraction: store_fraction.clamp(0.0, 1.0),
             seed,
-            rng: StdRng::seed_from_u64(seed),
-            next_line: 0,
-            waiting: false,
         }
     }
+
     /// Compiles the noise process's schedule up to (at least) `limit` cycles
     /// of session time into a [`TraceProgram`].
     ///
-    /// The actor runs forever; the compiled program covers the whole session
-    /// horizon by over-provisioning iterations (each wait-plus-touch cycle
-    /// consumes more than `interval` cycles, so `limit / interval + 4`
-    /// iterations can never be exhausted before the deadline).  The
-    /// load/store decisions replay the constructor seed's stream, exactly as
-    /// the actor would draw them touch by touch.
+    /// Each iteration waits `interval` cycles, then touches the next noisy
+    /// line, a store with probability `store_fraction`.  The process is
+    /// meant to run for the whole session, so the program over-provisions
+    /// iterations: each wait-plus-touch cycle consumes more than `interval`
+    /// cycles, so `limit / interval + 4` iterations can never be exhausted
+    /// before the deadline.
     pub fn compile(&self, limit: u64) -> TraceProgram {
         let mut program = TraceProgram::new(self.name.clone(), self.domain);
         program.phase(crate::telemetry::Phase::Noise);
@@ -94,97 +85,6 @@ impl NoisyNeighbor {
     }
 }
 
-impl Actor for NoisyNeighbor {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn domain(&self) -> DomainId {
-        self.domain
-    }
-
-    fn next_action(&mut self, now: u64) -> Action {
-        if !self.waiting {
-            self.waiting = true;
-            return Action::WaitUntil(now + self.interval);
-        }
-        self.waiting = false;
-        let addr = self.lines.line(self.next_line);
-        self.next_line = (self.next_line + 1) % self.lines.len();
-        if self.rng.gen_bool(self.store_fraction) {
-            Action::Store(addr)
-        } else {
-            Action::Load(addr)
-        }
-    }
-
-    fn on_completion(&mut self, _completion: &Completion) {}
-}
-
-/// An actor that sprays loads and stores over a large working set.
-#[derive(Debug)]
-pub struct RandomPolluter {
-    name: String,
-    domain: DomainId,
-    space: AddressSpace,
-    working_set_bytes: u64,
-    store_fraction: f64,
-    /// Cycles of compute between accesses.
-    think_time: u64,
-    rng: StdRng,
-    issued_memory_op: bool,
-}
-
-impl RandomPolluter {
-    /// Creates a polluter over `working_set_bytes` of its own address space.
-    pub fn new(
-        space: AddressSpace,
-        working_set_bytes: u64,
-        store_fraction: f64,
-        think_time: u64,
-        domain: DomainId,
-        seed: u64,
-    ) -> RandomPolluter {
-        RandomPolluter {
-            name: "polluter".to_owned(),
-            domain,
-            space,
-            working_set_bytes: working_set_bytes.max(64),
-            store_fraction: store_fraction.clamp(0.0, 1.0),
-            think_time,
-            rng: StdRng::seed_from_u64(seed),
-            issued_memory_op: false,
-        }
-    }
-}
-
-impl Actor for RandomPolluter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn domain(&self) -> DomainId {
-        self.domain
-    }
-
-    fn next_action(&mut self, _now: u64) -> Action {
-        if self.issued_memory_op && self.think_time > 0 {
-            self.issued_memory_op = false;
-            return Action::Compute(self.think_time);
-        }
-        self.issued_memory_op = true;
-        let offset = self.rng.gen_range(0..self.working_set_bytes) & !63;
-        let addr = self.space.translate(0x4000_0000 + offset);
-        if self.rng.gen_bool(self.store_fraction) {
-            Action::Store(addr)
-        } else {
-            Action::Load(addr)
-        }
-    }
-
-    fn on_completion(&mut self, _completion: &Completion) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,17 +92,20 @@ mod tests {
     use crate::process::ProcessId;
     use sim_cache::policy::PolicyKind;
 
+    /// Runs the noise process's compiled program alone for `limit` cycles.
+    fn run_alone(noise: &NoisyNeighbor, limit: u64) -> Machine {
+        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TrueLru, 1)).unwrap();
+        let report = machine.run_session(&[noise.compile(limit)], None, limit);
+        assert!(report.hit_limit, "the program covers the whole session");
+        machine
+    }
+
     #[test]
     fn noisy_neighbor_touches_only_the_target_set() {
-        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TrueLru, 1)).unwrap();
-        let g = machine.l1_geometry();
+        let g = sim_cache::addr::CacheGeometry::xeon_l1d();
         let set = 33;
-        let mut noise =
-            NoisyNeighbor::new(AddressSpace::new(ProcessId(5)), g, set, 3, 500, 0.0, 5, 42);
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut noise];
-            machine.run(&mut actors, 50_000);
-        }
+        let noise = NoisyNeighbor::new(AddressSpace::new(ProcessId(5)), g, set, 3, 500, 0.0, 5, 42);
+        let machine = run_alone(&noise, 50_000);
         // The noise process owns lines only in the target set.
         let owned_in_target = machine.hierarchy().l1().owned_count_in_set(set, 5);
         assert!(
@@ -214,38 +117,15 @@ mod tests {
                 assert_eq!(machine.hierarchy().l1().owned_count_in_set(other, 5), 0);
             }
         }
-        assert!(noise.name().contains("set33"));
+        assert!(noise.compile(50_000).name().contains("set33"));
     }
 
     #[test]
     fn store_noise_dirties_lines() {
-        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TrueLru, 1)).unwrap();
-        let g = machine.l1_geometry();
+        let g = sim_cache::addr::CacheGeometry::xeon_l1d();
         let set = 12;
-        let mut noise =
-            NoisyNeighbor::new(AddressSpace::new(ProcessId(6)), g, set, 2, 200, 1.0, 6, 43);
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut noise];
-            machine.run(&mut actors, 20_000);
-        }
+        let noise = NoisyNeighbor::new(AddressSpace::new(ProcessId(6)), g, set, 2, 200, 1.0, 6, 43);
+        let machine = run_alone(&noise, 20_000);
         assert!(machine.hierarchy().l1().dirty_count_in_set(set) > 0);
-    }
-
-    #[test]
-    fn polluter_generates_broad_traffic() {
-        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 2)).unwrap();
-        let mut polluter =
-            RandomPolluter::new(AddressSpace::new(ProcessId(7)), 256 * 1024, 0.3, 10, 7, 44);
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut polluter];
-            machine.run(&mut actors, 200_000);
-        }
-        let perf = machine.perf(7);
-        assert!(perf.l1_loads > 100, "polluter must issue many loads");
-        assert!(perf.stores > 10, "polluter must issue stores");
-        // A 256 KiB working set does not fit the 32 KiB L1: misses must occur.
-        assert!(perf.l1_load_misses > 0);
-        assert_eq!(polluter.name(), "polluter");
-        assert_eq!(polluter.domain(), 7);
     }
 }

@@ -5,19 +5,16 @@
 //! measured sweeps and period waits, a noise process's periodic touches —
 //! expressed as a flat step list over two arenas (batched [`TraceOp`]s and
 //! chase addresses).  [`crate::machine::Machine::run_session`] interleaves
-//! several programs (plus optional dynamic [`crate::program::Actor`]s) on
-//! the shared cache hierarchy with *exactly* the scheduling semantics of
-//! [`crate::machine::Machine::run`]: one scheduling turn per operation,
-//! per-turn OS-interrupt polls, earliest-ready-first with lowest-index
-//! tie-breaking, and a cycle deadline.  The difference is purely mechanical —
-//! no per-action allocation, no virtual dispatch, no per-access perf
-//! bookkeeping — which is what makes full covert-channel frames run at batch
-//! speed (see the `wb-channel` row of `repro bench-sim`).
+//! several programs on the shared cache hierarchy: one scheduling turn per
+//! operation, per-turn OS-interrupt polls, earliest-ready-first with
+//! lowest-index tie-breaking, and a cycle deadline.  Programs carry no
+//! per-action allocation or virtual dispatch, which is what makes full
+//! covert-channel frames run at batch speed (see the `wb-channel` row of
+//! `repro bench-sim`).
 //!
 //! ## Timing vocabulary
 //!
-//! Programs reference times three ways, mirroring what the hand-written
-//! actors computed on the fly:
+//! Programs reference times three ways:
 //!
 //! * **absolute** — [`TraceStep::WaitUntil`] / [`TraceStep::WaitEpoch`]
 //!   target a fixed cycle (the agreed rendezvous epoch);
@@ -38,8 +35,7 @@ use sim_cache::trace::{TraceOp, TraceSummary};
 /// One step of a compiled [`TraceProgram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceStep {
-    /// Execute the ops-arena range `start..end`, one scheduling turn per op
-    /// (identical interleaving to issuing each op as its own action).
+    /// Execute the ops-arena range `start..end`, one scheduling turn per op.
     Ops {
         /// First op (inclusive) in the program's op arena.
         start: usize,
@@ -302,6 +298,20 @@ pub struct ProgramReport {
 }
 
 impl ProgramReport {
+    /// An empty report for a thread about to run.
+    pub(crate) fn new(name: &str, domain: DomainId) -> ProgramReport {
+        ProgramReport {
+            name: name.to_owned(),
+            domain,
+            summary: TraceSummary::default(),
+            measurements: Vec::new(),
+            actions: 0,
+            stalled_cycles: 0,
+            finished: false,
+            phase_cycles: PhaseCycles::default(),
+        }
+    }
+
     /// The measured latencies only, in observation order.
     pub fn latencies(&self) -> Vec<u64> {
         self.measurements.iter().map(|m| m.measured).collect()
@@ -316,12 +326,9 @@ pub struct SessionReport {
     /// Whether the cycle limit ended the session (rather than every thread
     /// finishing).
     pub hit_limit: bool,
-    /// One report per compiled program, in input order.
+    /// One report per compiled program, in input order, followed by the
+    /// companion's (named `g++`) when the session had one.
     pub programs: Vec<ProgramReport>,
-    /// Actions executed per dynamic actor, in input order.
-    pub actor_actions: Vec<u64>,
-    /// Cycles each dynamic actor spent stalled by OS interruptions.
-    pub actor_stalled: Vec<u64>,
 }
 
 impl SessionReport {
@@ -333,16 +340,13 @@ impl SessionReport {
         }
         total
     }
-}
 
-impl SessionReport {
     /// The report of the program named `name`, if any.
     pub fn program(&self, name: &str) -> Option<&ProgramReport> {
         self.programs.iter().find(|p| p.name == name)
     }
 
-    /// Sum of all program summaries (simulated work of the whole session,
-    /// excluding dynamic actors).
+    /// Sum of all program summaries (simulated work of the whole session).
     pub fn total_summary(&self) -> TraceSummary {
         let mut total = TraceSummary::default();
         for program in &self.programs {
@@ -450,8 +454,6 @@ mod tests {
                     phase_cycles: PhaseCycles::default(),
                 },
             ],
-            actor_actions: vec![],
-            actor_stalled: vec![],
         };
         assert_eq!(report.program("receiver").unwrap().latencies(), vec![120]);
         assert!(report.program("nope").is_none());

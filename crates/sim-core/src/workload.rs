@@ -1,4 +1,4 @@
-//! Benign co-runner workloads.
+//! The benign `g++` co-runner.
 //!
 //! Table VII of the paper compares the sender's cache miss rates against a
 //! baseline in which the sender shares its physical core with a benign `g++`
@@ -6,14 +6,27 @@
 //! [`CompilerWorkload`] emulates the cache *footprint* of a compiler front
 //! end: streaming reads over a large source buffer, hash-table-like random
 //! probes into a symbol table, and bursts of stores into an output buffer.
-//! [`StreamingWorkload`] (pure sequential sweep) is provided as a second,
-//! simpler profile used by ablation benches.
+//!
+//! The workload never finishes, so it is not compiled into a
+//! [`crate::session::TraceProgram`]: a program safe for the whole
+//! measurement window would hold millions of steps.  Instead
+//! [`crate::machine::Machine::run_session`] draws its turns lazily through
+//! [`CompilerWorkload::next_turn`], as the session's companion thread.
 
 use crate::process::AddressSpace;
-use crate::program::{Action, Actor, Completion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_cache::line::DomainId;
+use sim_cache::trace::TraceOp;
+
+/// One scheduling turn of a [`CompilerWorkload`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkloadTurn {
+    /// A demand load or store.
+    Op(TraceOp),
+    /// Compute without memory accesses for this many cycles.
+    Think(u64),
+}
 
 /// Parameters of the compiler-like workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,21 +93,26 @@ impl CompilerWorkload {
             pending_think: false,
         }
     }
-}
 
-impl Actor for CompilerWorkload {
-    fn name(&self) -> &str {
+    /// Short name used in reports (the companion's [`ProgramReport`] name).
+    ///
+    /// [`ProgramReport`]: crate::session::ProgramReport
+    pub fn name(&self) -> &str {
         "g++"
     }
 
-    fn domain(&self) -> DomainId {
+    /// The cache/perf attribution domain of the workload.
+    pub fn domain(&self) -> DomainId {
         self.domain
     }
 
-    fn next_action(&mut self, _now: u64) -> Action {
+    /// The workload's next scheduling turn: a memory operation, or (after
+    /// every operation) `think_time` cycles of compute.  The workload never
+    /// finishes; the session deadline ends it.
+    pub fn next_turn(&mut self) -> WorkloadTurn {
         if self.pending_think && self.config.think_time > 0 {
             self.pending_think = false;
-            return Action::Compute(self.config.think_time);
+            return WorkloadTurn::Think(self.config.think_time);
         }
         self.pending_think = true;
         let roll: f64 = self.rng.gen();
@@ -104,78 +122,20 @@ impl Actor for CompilerWorkload {
                 .space
                 .translate(OUTPUT_BASE + (self.output_cursor % self.config.output_bytes));
             self.output_cursor += 64;
-            Action::Store(addr)
+            WorkloadTurn::Op(TraceOp::write(addr))
         } else if roll < self.config.store_fraction + self.config.probe_fraction {
             // Random probe into the symbol table.
             let offset = self.rng.gen_range(0..self.config.symbol_table_bytes) & !63;
-            Action::Load(self.space.translate(SYMBOLS_BASE + offset))
+            WorkloadTurn::Op(TraceOp::read(self.space.translate(SYMBOLS_BASE + offset)))
         } else {
             // Streaming read of the source text.
             let addr = self
                 .space
                 .translate(SOURCE_BASE + (self.source_cursor % self.config.source_bytes));
             self.source_cursor += 64;
-            Action::Load(addr)
+            WorkloadTurn::Op(TraceOp::read(addr))
         }
     }
-
-    fn on_completion(&mut self, _completion: &Completion) {}
-}
-
-/// A pure streaming sweep over a large buffer (STREAM-like).
-#[derive(Debug)]
-pub struct StreamingWorkload {
-    space: AddressSpace,
-    domain: DomainId,
-    buffer_bytes: u64,
-    cursor: u64,
-    write_every: u64,
-    issued: u64,
-}
-
-impl StreamingWorkload {
-    /// Creates a streaming workload over `buffer_bytes`, issuing one store
-    /// every `write_every` accesses (0 = read-only).
-    pub fn new(
-        space: AddressSpace,
-        domain: DomainId,
-        buffer_bytes: u64,
-        write_every: u64,
-    ) -> StreamingWorkload {
-        StreamingWorkload {
-            space,
-            domain,
-            buffer_bytes: buffer_bytes.max(64),
-            cursor: 0,
-            write_every,
-            issued: 0,
-        }
-    }
-}
-
-impl Actor for StreamingWorkload {
-    fn name(&self) -> &str {
-        "stream"
-    }
-
-    fn domain(&self) -> DomainId {
-        self.domain
-    }
-
-    fn next_action(&mut self, _now: u64) -> Action {
-        let addr = self
-            .space
-            .translate(0x5000_0000 + (self.cursor % self.buffer_bytes));
-        self.cursor += 64;
-        self.issued += 1;
-        if self.write_every > 0 && self.issued % self.write_every == 0 {
-            Action::Store(addr)
-        } else {
-            Action::Load(addr)
-        }
-    }
-
-    fn on_completion(&mut self, _completion: &Completion) {}
 }
 
 #[cfg(test)]
@@ -185,19 +145,23 @@ mod tests {
     use crate::process::ProcessId;
     use sim_cache::policy::PolicyKind;
 
+    fn run_alone(seed: u64, domain: DomainId, workload_seed: u64, limit: u64) -> Machine {
+        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, seed)).unwrap();
+        let mut workload = CompilerWorkload::new(
+            AddressSpace::new(ProcessId(domain)),
+            domain,
+            CompilerWorkloadConfig::default(),
+            workload_seed,
+        );
+        let report = machine.run_session(&[], Some(&mut workload), limit);
+        assert!(report.hit_limit, "the workload never finishes");
+        assert_eq!(report.programs[0].name, "g++");
+        machine
+    }
+
     #[test]
     fn compiler_workload_touches_all_three_regions() {
-        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 0)).unwrap();
-        let mut workload = CompilerWorkload::new(
-            AddressSpace::new(ProcessId(3)),
-            3,
-            CompilerWorkloadConfig::default(),
-            99,
-        );
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut workload];
-            machine.run(&mut actors, 500_000);
-        }
+        let machine = run_alone(0, 3, 99, 500_000);
         let perf = machine.perf(3);
         assert!(perf.l1_loads > 1_000, "loads: {}", perf.l1_loads);
         assert!(perf.stores > 100, "stores: {}", perf.stores);
@@ -206,22 +170,11 @@ mod tests {
         // rates of Table VII.
         assert!(perf.l1_miss_rate() > 0.0);
         assert!(perf.l2_miss_rate() > 0.0);
-        assert_eq!(workload.name(), "g++");
     }
 
     #[test]
     fn compiler_workload_creates_dirty_lines_across_sets() {
-        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 1)).unwrap();
-        let mut workload = CompilerWorkload::new(
-            AddressSpace::new(ProcessId(4)),
-            4,
-            CompilerWorkloadConfig::default(),
-            7,
-        );
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut workload];
-            machine.run(&mut actors, 300_000);
-        }
+        let machine = run_alone(1, 4, 7, 300_000);
         let g = machine.l1_geometry();
         let dirty_sets = (0..g.num_sets)
             .filter(|&s| machine.hierarchy().l1().dirty_count_in_set(s) > 0)
@@ -230,18 +183,16 @@ mod tests {
     }
 
     #[test]
-    fn streaming_workload_alternates_loads_and_stores() {
-        let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 2)).unwrap();
-        let mut workload =
-            StreamingWorkload::new(AddressSpace::new(ProcessId(5)), 5, 1024 * 1024, 4);
-        {
-            let mut actors: Vec<&mut dyn Actor> = vec![&mut workload];
-            machine.run(&mut actors, 100_000);
+    fn every_operation_is_followed_by_its_think_time() {
+        let mut workload = CompilerWorkload::new(
+            AddressSpace::new(ProcessId(3)),
+            3,
+            CompilerWorkloadConfig::default(),
+            5,
+        );
+        for _ in 0..50 {
+            assert!(matches!(workload.next_turn(), WorkloadTurn::Op(_)));
+            assert_eq!(workload.next_turn(), WorkloadTurn::Think(6));
         }
-        let perf = machine.perf(5);
-        assert!(perf.stores > 0);
-        assert!(perf.l1_loads > perf.stores, "1 in 4 accesses is a store");
-        assert_eq!(workload.name(), "stream");
-        assert_eq!(workload.domain(), 5);
     }
 }

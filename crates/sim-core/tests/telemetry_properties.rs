@@ -99,11 +99,11 @@ proptest! {
         ];
 
         let mut plain = Machine::new(config).unwrap();
-        let baseline = plain.run_session(&programs, &mut [], limit);
+        let baseline = plain.run_session(&programs, None, limit);
 
         let mut traced = Machine::new(config).unwrap();
         traced.enable_tracing();
-        let report = traced.run_session(&programs, &mut [], limit);
+        let report = traced.run_session(&programs, None, limit);
 
         // Bit-identical observable behaviour, including every measured
         // latency (the decoded bits downstream) and the phase attribution.
@@ -147,12 +147,12 @@ proptest! {
 
         let mut machine = Machine::new(config).unwrap();
         machine.enable_tracing();
-        machine.run_session(&programs, &mut [], 100_000);
+        machine.run_session(&programs, None, 100_000);
         let first = machine.take_trace();
 
         machine.reset(config).unwrap();
         machine.enable_tracing();
-        machine.run_session(&programs, &mut [], 100_000);
+        machine.run_session(&programs, None, 100_000);
         let second = machine.take_trace();
 
         prop_assert_eq!(first, second);
