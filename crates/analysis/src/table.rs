@@ -149,10 +149,11 @@ impl Table {
     /// `{"type":"table",...}` header line carrying the stem, title and
     /// column headers, then one `{"type":"row",...}` line per data row.
     ///
-    /// This is the streaming row format of the experiment service: rows can
-    /// be concatenated across tables (each line names its `stem`), consumed
-    /// line-by-line without a JSON parser that handles nesting, and — being
-    /// a pure function of the table — compared byte-for-byte across runs.
+    /// This is the event-stream format `repro trace` writes
+    /// (`TRACE_<id>_events.ndjson`): rows can be concatenated across tables
+    /// (each line names its `stem`), consumed line-by-line without a JSON
+    /// parser that handles nesting, and — being a pure function of the
+    /// table — compared byte-for-byte across runs.
     pub fn to_ndjson(&self, stem: &str) -> String {
         let headers: Vec<String> = self.headers.iter().map(|h| json_string(h)).collect();
         let mut out = format!(
@@ -202,9 +203,9 @@ impl Table {
 }
 
 /// Encodes a string as a JSON string literal (quotes, escapes, control
-/// characters). Public because the hand-rolled JSON emitters elsewhere in
-/// the workspace (the experiment service's status lines, the NDJSON rows)
-/// share this one escaper rather than growing their own.
+/// characters). Public because the workspace has one escaper: the table
+/// renderers here ([`Table::to_json`], [`Table::to_ndjson`]) and the
+/// linter's `Finding::to_json` all call it.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -392,7 +392,7 @@ fn wb_channel(min_seconds: f64, traced: bool) -> TraceResult {
                 .transmit_frame(&frame)
                 .expect("bench transmission succeeds");
             // Draining per frame keeps memory bounded, exactly as `repro
-            // trace` and the service would consume the stream.
+            // trace` consumes the stream.
             let _ = session.take_trace();
             if window_started.elapsed().as_secs_f64() >= window_seconds {
                 break;

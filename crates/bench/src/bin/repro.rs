@@ -6,8 +6,6 @@
 //!   repro run <id|glob>... [--quick|--full] [--threads N] [--out DIR]
 //!                          [--seed SEED] [--no-progress] [--verbose]
 //!                          [--allow-empty]
-//!   repro serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR]
-//!               [--workers K] [--seed SEED]
 //! ```
 //!
 //! `list` prints the scenario registry: stable id, paper cross-reference,
@@ -16,8 +14,6 @@
 //! points out across `--threads` workers (default: all cores), prints each
 //! result table, writes Markdown/CSV/JSON copies under the output directory
 //! (default `results/`), and records the run in `results/manifest.json`.
-//! `serve` keeps the whole registry resident behind the experiment service
-//! (job queue + result cache + metrics; see `crates/service`).
 //!
 //! Results are bit-identical at any `--threads` value: every point's seed is
 //! derived from `(--seed, scenario id, point index)` before execution.
@@ -26,6 +22,7 @@ use analysis::table::Table;
 use bench::Scale;
 use runner::manifest::write_manifest;
 use runner::pool::default_threads;
+use runner::seed::parse_seed;
 use runner::{execute, Registry, RunConfig};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -63,9 +60,7 @@ const USAGE: &str = "usage:\n  repro list [--quick|--full]\n  repro run <id|glob
     repro check [<id|glob>...] [--verbose]\n  \
     repro trace <id|glob>... [--quick|--full] [--out DIR]\n  \
     repro lint [DIR]\n  \
-    repro bench-sim [--quick|--full] [--out DIR] [--baseline PATH] [--max-regress PCT]\n  \
-    repro serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--workers K]\n              \
-    [--seed SEED]\n\
+    repro bench-sim [--quick|--full] [--out DIR] [--baseline PATH] [--max-regress PCT]\n\
     \nscenario ids (see `repro list`): table1 table2 table4 table5 table6 table7\n\
     fig4 fig5-7 fig6 fig8 bandwidth defenses sidechannel hierarchy-matrix; globs\n\
     like 'table*' and the keyword `all` also work\n\
@@ -84,12 +79,7 @@ const USAGE: &str = "usage:\n  repro list [--quick|--full]\n  repro run <id|glob
     writes BENCH_sim.{md,csv,json} under --out, and exits non-zero when a\n\
     trace regresses more than --max-regress percent (default 30) below the\n\
     --baseline table, or when wb-frame falls more than 3% (the null-sink\n\
-    telemetry gate)\n\
-    \nserve starts the resident experiment service (default addr 127.0.0.1:7878;\n\
-    --addr with port 0 picks an ephemeral port and prints it): POST /jobs queues\n\
-    scenario runs, results are cached by (scenario, scale, seed) under\n\
-    --cache-dir, GET /metrics exposes request/queue/cache/pool counters, and\n\
-    POST /shutdown drains in-flight jobs before exiting";
+    telemetry gate)";
 
 /// Argument error: usage on stderr, exit 2. An explicit `--help` instead
 /// prints to stdout and exits 0 (see `main`).
@@ -173,11 +163,6 @@ fn default_lint_root() -> PathBuf {
     PathBuf::from(".")
 }
 
-// One seed grammar for the whole system: the CLI accepts exactly what the
-// service's job specs accept, so the same seed string always lands on the
-// same cache key.
-use service::job::parse_seed;
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
@@ -199,13 +184,10 @@ fn main() -> ExitCode {
     let mut patterns = Vec::new();
     let mut baseline: Option<PathBuf> = None;
     let mut max_regress = 0.30f64;
-    let mut addr = "127.0.0.1:7878".to_owned();
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut workers = 2usize;
-    // First run-only / bench-sim-only / serve-only flag seen; the other
-    // commands reject these instead of silently ignoring them. Each flag's
-    // own match arm records itself here so the rejection list cannot drift
-    // from the parser.
+    // First run-only / bench-sim-only flag seen; the other commands reject
+    // these instead of silently ignoring them. Each flag's own match arm
+    // records itself here so the rejection list cannot drift from the
+    // parser.
     let mut run_only_flag: Option<&str> = None;
     let mut record_run_only = |flag: &'static str| {
         if run_only_flag.is_none() {
@@ -218,18 +200,9 @@ fn main() -> ExitCode {
             bench_only_flag = Some(flag);
         }
     };
-    let mut serve_only_flag: Option<&str> = None;
-    let mut record_serve_only = |flag: &'static str| {
-        if serve_only_flag.is_none() {
-            serve_only_flag = Some(flag);
-        }
-    };
-    // `--threads` and `--seed` are shared by `run` and `serve` (rejected by
-    // `list` and `bench-sim`); `--out` by `run` and `bench-sim`;
-    // `--quick`/`--full` by everything *except* `serve`, where scale is a
-    // per-job property of the POSTed spec.
-    let mut threads_flag_seen = false;
-    let mut seed_flag_seen = false;
+    // Flags shared by several commands and rejected by the rest: `--out`
+    // (`run`, `bench-sim`, `trace`), `--quick`/`--full` (all but `check` and
+    // `lint`) and `--verbose` (`run`, `check`).
     let mut out_flag_seen = false;
     let mut scale_flag_seen = false;
     let mut verbose_flag_seen = false;
@@ -263,35 +236,13 @@ fn main() -> ExitCode {
                 allow_empty = true;
             }
             "--threads" => {
-                threads_flag_seen = true;
+                record_run_only("--threads");
                 match value(iter.next()).and_then(|n| n.parse().ok()) {
                     Some(n) if n >= 1 => threads = n,
                     _ => usage(),
                 }
             }
-            "--addr" => {
-                record_serve_only("--addr");
-                match value(iter.next()) {
-                    Some(a) => addr = a,
-                    None => usage(),
-                }
-            }
-            "--cache-dir" => {
-                record_serve_only("--cache-dir");
-                match value(iter.next()) {
-                    Some(dir) => cache_dir = Some(PathBuf::from(dir)),
-                    None => usage(),
-                }
-            }
-            "--workers" => {
-                record_serve_only("--workers");
-                match value(iter.next()).and_then(|n| n.parse().ok()) {
-                    Some(n) if n >= 1 => workers = n,
-                    _ => usage(),
-                }
-            }
             "--out" => {
-                // Shared by `run` and `bench-sim`; only `list` rejects it.
                 out_flag_seen = true;
                 match value(iter.next()) {
                     Some(dir) => out_dir = PathBuf::from(dir),
@@ -313,7 +264,7 @@ fn main() -> ExitCode {
                 }
             }
             "--seed" => {
-                seed_flag_seen = true;
+                record_run_only("--seed");
                 match value(iter.next()).and_then(|s| parse_seed(&s)) {
                     Some(seed) => root_seed = seed,
                     None => usage(),
@@ -345,14 +296,6 @@ fn main() -> ExitCode {
                 eprintln!("{flag} only applies to `repro bench-sim`");
                 usage();
             }
-            if let Some(flag) = serve_only_flag {
-                eprintln!("{flag} only applies to `repro serve`");
-                usage();
-            }
-            if threads_flag_seen || seed_flag_seen {
-                eprintln!("--threads/--seed only apply to `repro run` and `repro serve`");
-                usage();
-            }
             if out_flag_seen {
                 eprintln!("--out only applies to `repro run`, `repro bench-sim` and `repro trace`");
                 usage();
@@ -370,14 +313,6 @@ fn main() -> ExitCode {
             }
             if let Some(flag) = run_only_flag {
                 eprintln!("{flag} only applies to `repro run`");
-                usage();
-            }
-            if let Some(flag) = serve_only_flag {
-                eprintln!("{flag} only applies to `repro serve`");
-                usage();
-            }
-            if threads_flag_seen || seed_flag_seen {
-                eprintln!("--threads/--seed only apply to `repro run` and `repro serve`");
                 usage();
             }
             if verbose_flag_seen {
@@ -441,10 +376,6 @@ fn main() -> ExitCode {
             }
             if let Some(flag) = bench_only_flag {
                 eprintln!("{flag} only applies to `repro bench-sim`");
-                usage();
-            }
-            if let Some(flag) = serve_only_flag {
-                eprintln!("{flag} only applies to `repro serve`");
                 usage();
             }
             // A selection that matches nothing is an error by default — a
@@ -533,14 +464,6 @@ fn main() -> ExitCode {
                 eprintln!("{flag} only applies to `repro bench-sim`");
                 usage();
             }
-            if let Some(flag) = serve_only_flag {
-                eprintln!("{flag} only applies to `repro serve`");
-                usage();
-            }
-            if threads_flag_seen || seed_flag_seen {
-                eprintln!("--threads/--seed only apply to `repro run` and `repro serve`");
-                usage();
-            }
             if out_flag_seen {
                 eprintln!("--out only applies to `repro run`, `repro bench-sim` and `repro trace`");
                 usage();
@@ -605,14 +528,6 @@ fn main() -> ExitCode {
             }
             if let Some(flag) = bench_only_flag {
                 eprintln!("{flag} only applies to `repro bench-sim`");
-                usage();
-            }
-            if let Some(flag) = serve_only_flag {
-                eprintln!("{flag} only applies to `repro serve`");
-                usage();
-            }
-            if threads_flag_seen || seed_flag_seen {
-                eprintln!("--threads/--seed only apply to `repro run` and `repro serve`");
                 usage();
             }
             if verbose_flag_seen {
@@ -685,11 +600,7 @@ fn main() -> ExitCode {
                 eprintln!("{flag} only applies to `repro bench-sim`");
                 usage();
             }
-            if let Some(flag) = serve_only_flag {
-                eprintln!("{flag} only applies to `repro serve`");
-                usage();
-            }
-            if threads_flag_seen || seed_flag_seen || out_flag_seen || scale_flag_seen {
+            if out_flag_seen || scale_flag_seen {
                 eprintln!("repro lint takes no flags, only an optional DIR");
                 usage();
             }
@@ -711,8 +622,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            // One machine-readable JSON finding per line, like the service's
-            // NDJSON endpoints.
+            // One machine-readable JSON finding per line (NDJSON).
             for finding in &report.findings {
                 emit(&finding.to_json());
             }
@@ -731,72 +641,6 @@ fn main() -> ExitCode {
                     report.files,
                 );
                 ExitCode::FAILURE
-            }
-        }
-        "serve" => {
-            if !patterns.is_empty() {
-                usage();
-            }
-            if let Some(flag) = run_only_flag {
-                eprintln!("{flag} only applies to `repro run`");
-                usage();
-            }
-            if let Some(flag) = bench_only_flag {
-                eprintln!("{flag} only applies to `repro bench-sim`");
-                usage();
-            }
-            if out_flag_seen {
-                eprintln!("--out only applies to `repro run`, `repro bench-sim` and `repro trace`");
-                usage();
-            }
-            if verbose_flag_seen {
-                eprintln!("--verbose only applies to `repro run` and `repro check`");
-                usage();
-            }
-            if scale_flag_seen {
-                // Silently defaulting every job to quick while the operator
-                // believes the *server* runs at full scale would be worse
-                // than refusing: scale belongs to each POSTed job spec.
-                eprintln!(
-                    "--quick/--full do not apply to `repro serve`; set \"scale\" per job \
-                     in the POST /jobs body"
-                );
-                usage();
-            }
-            let config = service::ServerConfig {
-                addr: addr.clone(),
-                job_workers: workers,
-                max_job_threads: threads,
-                cache_dir,
-                default_seed: root_seed,
-                ..service::ServerConfig::default()
-            };
-            let server = match service::Server::bind(registry, config) {
-                Ok(server) => server,
-                Err(error) => {
-                    eprintln!("error: could not bind {addr}: {error}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match server.local_addr() {
-                // Printed on stdout (line-buffered, so visible immediately
-                // even when redirected): with `--addr ...:0` this line is
-                // how callers learn the ephemeral port.
-                Ok(local) => emit(&format_args!("[repro] serving on http://{local}")),
-                Err(error) => {
-                    eprintln!("error: bound socket has no address: {error}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            match server.serve() {
-                Ok(()) => {
-                    emit(&"[repro] shutdown complete; all jobs drained");
-                    ExitCode::SUCCESS
-                }
-                Err(error) => {
-                    eprintln!("error: server failed: {error}");
-                    ExitCode::FAILURE
-                }
             }
         }
         _ => usage(),

@@ -1,10 +1,10 @@
 //! Property coverage for the seed-derivation grid.
 //!
-//! The result cache of the experiment service assumes the derivation
-//! `root seed → scenario id → point index` never collides: two sweep points
-//! sharing an RNG seed would silently correlate experiments that the paper
-//! treats as independent trials. This pins collision-freedom across the
-//! *entire* registered grid at `--full` sizes, for arbitrary root seeds.
+//! The runner assumes the derivation `root seed → scenario id → point index`
+//! never collides: two sweep points sharing an RNG seed would silently
+//! correlate experiments that the paper treats as independent trials. This
+//! pins collision-freedom across the *entire* registered grid at `--full`
+//! sizes, for arbitrary root seeds.
 
 use bench::{registry, Scale};
 use proptest::prelude::*;

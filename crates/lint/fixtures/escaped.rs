@@ -26,8 +26,3 @@ pub fn prints() {
     // Operator-facing progress line: lint:allow(println-in-lib)
     eprintln!("progress 1/1");
 }
-
-pub fn unwraps(input: Option<u8>) -> u8 {
-    // Invariant upheld by construction: lint:allow(service-unwrap)
-    input.unwrap()
-}

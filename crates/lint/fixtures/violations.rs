@@ -25,7 +25,3 @@ pub fn prints() {
     println!("library code owning the terminal");
     eprintln!("and stderr too");
 }
-
-pub fn unwraps(input: Option<u8>) -> u8 {
-    input.unwrap() + Some(1u8).expect("always some")
-}

@@ -1,18 +1,18 @@
 //! # lint
 //!
-//! The workspace determinism linter behind `repro lint`: a std-only source
-//! scanner enforcing the repo-specific hygiene rules that bit-exact
-//! reproduction depends on but `clippy` has no opinion about.
+//! The workspace determinism linter behind `repro lint`: a source scanner
+//! (std plus `analysis`'s JSON escaper) enforcing the repo-specific hygiene
+//! rules that bit-exact reproduction depends on but `clippy` has no opinion
+//! about.
 //!
 //! ## Rules
 //!
 //! | rule | scope | meaning |
 //! |---|---|---|
-//! | `wall-clock` | everywhere except the bench harness, the service (socket deadlines) and the runner's wall-time manifest field (`crates/runner/src/executor.rs`) | no `Instant::now` / `SystemTime`: simulated time is the only clock results may depend on |
+//! | `wall-clock` | everywhere except the bench harness and the runner's wall-time manifest field (`crates/runner/src/executor.rs`) | no `Instant::now` / `SystemTime`: simulated time is the only clock results may depend on |
 //! | `telemetry-wall-clock` | everywhere, **including** the wall-clock-exempt crates | no `Instant::now` / `SystemTime` on a line that touches `telemetry`: trace events are timestamped in simulated cycles only, even in code that is otherwise allowed to read the wall clock |
 //! | `default-hasher` | `sim-cache`, `sim-core`, `core`, `baselines`, `defenses` | no std `HashMap`/`HashSet`: the default hasher is seeded per-process, so iteration order is not reproducible |
 //! | `println-in-lib` | every library file (anything not under a `bin/` directory) | no `println!`/`eprintln!`: libraries report through return values, binaries own the terminal |
-//! | `service-unwrap` | the service's request-handling modules (`server.rs`, `http.rs`, `json.rs`) | no `.unwrap()`/`.expect(`: a malformed request must produce a 4xx/5xx response, never a worker panic |
 //! | `unsafe-header` | every crate root (`src/lib.rs`) | the `#![forbid(unsafe_code)]` header must be present, making the workspace-level deny locally visible and unoverridable |
 //!
 //! ## Escapes
@@ -37,18 +37,18 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use analysis::table::json_string;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Every rule the linter knows, in report order.
-pub const RULES: [&str; 6] = [
+pub const RULES: [&str; 5] = [
     "wall-clock",
     "telemetry-wall-clock",
     "default-hasher",
     "println-in-lib",
-    "service-unwrap",
     "unsafe-header",
 ];
 
@@ -69,11 +69,11 @@ impl Finding {
     /// The finding as one machine-readable JSON object (NDJSON-friendly).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"path\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&self.path),
+            "{{\"path\":{},\"line\":{},\"rule\":\"{}\",\"message\":{}}}",
+            json_string(&self.path),
             self.line,
             self.rule,
-            json_escape(&self.message)
+            json_string(&self.message)
         )
     }
 }
@@ -95,21 +95,6 @@ pub struct LintReport {
     pub files: usize,
     /// Findings across all files, in path order.
     pub findings: Vec<Finding>,
-}
-
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Lints the workspace rooted at `root` (the directory holding the
@@ -217,7 +202,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
             }
         }
         // No path exemptions here: even crates allowed to read the wall
-        // clock (bench, service, the runner's manifest field) must never
+        // clock (bench, the runner's manifest field) must never
         // let it reach a telemetry call site.
         if text.contains("telemetry") {
             for token in ["Instant::now", "SystemTime"] {
@@ -269,20 +254,6 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                 );
             }
         }
-        if service_unwrap_applies(path) {
-            for token in [".unwrap()", ".expect("] {
-                if text.contains(token) {
-                    push(
-                        line,
-                        "service-unwrap",
-                        format!(
-                            "`{token}` on the request path: a malformed request must get a \
-                             4xx/5xx response, not panic a worker"
-                        ),
-                    );
-                }
-            }
-        }
     }
 
     if is_crate_root(path) && !source.contains("#![forbid(unsafe_code)]") {
@@ -297,13 +268,10 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
     findings
 }
 
-/// `wall-clock` exemptions: the bench harness measures throughput, the
-/// service deals in socket deadlines, and the runner records wall time in
-/// the manifest.
+/// `wall-clock` exemptions: the bench harness measures throughput and the
+/// runner records wall time in the manifest.
 fn wall_clock_applies(path: &str) -> bool {
-    !(path.starts_with("crates/bench/")
-        || path.starts_with("crates/service/")
-        || path == "crates/runner/src/executor.rs")
+    !(path.starts_with("crates/bench/") || path == "crates/runner/src/executor.rs")
 }
 
 /// `default-hasher` applies to the deterministic simulation crates.
@@ -322,16 +290,6 @@ fn default_hasher_applies(path: &str) -> bool {
 /// `println-in-lib` applies to everything that is not a binary target.
 fn println_applies(path: &str) -> bool {
     !path.contains("/bin/")
-}
-
-/// `service-unwrap` applies to the request-handling modules only.
-fn service_unwrap_applies(path: &str) -> bool {
-    matches!(
-        path,
-        "crates/service/src/server.rs"
-            | "crates/service/src/http.rs"
-            | "crates/service/src/json.rs"
-    )
 }
 
 fn is_crate_root(path: &str) -> bool {
@@ -539,22 +497,12 @@ mod tests {
     fn violations_fixture_trips_every_rule() {
         // Pretend the fixture sits in a crate where every rule applies.
         let findings = lint_source("crates/sim-core/src/lib.rs", VIOLATIONS);
-        for rule in [
-            "wall-clock",
-            "telemetry-wall-clock",
-            "default-hasher",
-            "println-in-lib",
-            "unsafe-header",
-        ] {
+        for rule in RULES {
             assert!(
                 findings.iter().any(|f| f.rule == rule),
                 "missing {rule}: {findings:?}"
             );
         }
-        // The same fixture placed in a service request module also trips the
-        // unwrap rule.
-        let findings = lint_source("crates/service/src/json.rs", VIOLATIONS);
-        assert!(findings.iter().any(|f| f.rule == "service-unwrap"));
     }
 
     #[test]
@@ -617,10 +565,6 @@ mod tests {
     }
 }
 ";
-        assert_eq!(
-            lint_source("crates/service/src/json.rs", source),
-            Vec::new()
-        );
         assert_eq!(lint_source("crates/sim-cache/src/x.rs", source), Vec::new());
     }
 
@@ -662,10 +606,6 @@ pub fn bad() -> std::collections::HashMap<u8, u8> {
             Vec::new()
         );
         assert_eq!(
-            lint_source("crates/service/src/client.rs", clock),
-            Vec::new()
-        );
-        assert_eq!(
             lint_source("crates/bench/src/bench_sim.rs", clock),
             Vec::new()
         );
@@ -682,13 +622,6 @@ pub fn bad() -> std::collections::HashMap<u8, u8> {
             lint_source("crates/bench/src/bin/repro.rs", print),
             Vec::new()
         );
-
-        let unwrap = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        assert!(!lint_source("crates/service/src/server.rs", unwrap).is_empty());
-        assert_eq!(
-            lint_source("crates/service/src/client.rs", unwrap),
-            Vec::new()
-        );
     }
 
     #[test]
@@ -697,10 +630,6 @@ pub fn bad() -> std::collections::HashMap<u8, u8> {
         // The wall-clock-exempt crates still trip the telemetry variant…
         assert_eq!(
             rules_of(&lint_source("crates/bench/src/bench_sim.rs", stamp)),
-            vec!["telemetry-wall-clock"]
-        );
-        assert_eq!(
-            rules_of(&lint_source("crates/service/src/metrics.rs", stamp)),
             vec!["telemetry-wall-clock"]
         );
         assert_eq!(
@@ -740,23 +669,6 @@ pub fn bad() -> std::collections::HashMap<u8, u8> {
         let with_header = "#![forbid(unsafe_code)]\npub fn f() {}\n";
         assert_eq!(
             lint_source("crates/analysis/src/lib.rs", with_header),
-            Vec::new()
-        );
-    }
-
-    #[test]
-    fn expect_method_calls_do_not_false_positive() {
-        // A parser helper *named* consume/expect_err is fine; only the
-        // Option/Result combinators trip the rule.
-        let source = "\
-fn f(p: &mut P) -> Result<(), String> {
-    p.consume(b'{')?;
-    let _ = r.expect_err(\"nope\");
-    Ok(())
-}
-";
-        assert_eq!(
-            lint_source("crates/service/src/json.rs", source),
             Vec::new()
         );
     }

@@ -15,7 +15,7 @@
 //!   trial/sample/frame counts from.
 //! * [`seed`] — SplitMix64-based seed derivation:
 //!   `root_seed → scenario id → point index`, so results are reproducible
-//!   and independent of execution order.
+//!   and independent of execution order; plus the `--seed` grammar.
 //! * [`scenario`] — the [`Scenario`] descriptor: stable
 //!   id, paper cross-reference, point count, per-point run function and a
 //!   deterministic assembly step.
@@ -24,8 +24,7 @@
 //! * [`pool`] — the work-stealing executor over `std::thread` (the build is
 //!   offline, so no rayon); results come back in submission order regardless
 //!   of thread count, panics are confined to the job that raised them, and
-//!   cheap atomic counters ([`PoolStats`]) feed the experiment service's
-//!   `/metrics` endpoint and `repro run --verbose`.
+//!   cheap atomic counters ([`PoolStats`]) feed `repro run --verbose`.
 //! * [`executor`] — runs selected scenarios on the pool and collects
 //!   per-scenario wall times and output tables.
 //! * [`manifest`] — renders a run into the `results/manifest.json` table.

@@ -22,8 +22,7 @@
 //!
 //! Instrumentation: the pool keeps cheap process-wide atomic counters (tasks
 //! queued/completed/panicked, steals, queue depth and its peak). [`stats`]
-//! snapshots them as a [`PoolStats`]; the experiment service's `/metrics`
-//! endpoint and `repro run --verbose` both read from here.
+//! snapshots them as a [`PoolStats`]; `repro run --verbose` reads from here.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -39,7 +38,7 @@ pub fn default_threads() -> usize {
 }
 
 // Process-wide pool counters. Cumulative across every `run_ordered*` call in
-// the process (the service runs many executor invocations over one pool
+// the process (a test binary runs many executor invocations over one pool
 // module); readers take deltas when they want per-run numbers. Relaxed
 // ordering is enough: these are statistics, not synchronization.
 static TASKS_QUEUED: AtomicU64 = AtomicU64::new(0);

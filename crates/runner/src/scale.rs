@@ -79,16 +79,6 @@ impl Scale {
             Scale::Full => "full",
         }
     }
-
-    /// Parses a [`Scale::label`] back into a scale (the experiment service's
-    /// job specs name scales by label). Returns `None` for anything else.
-    pub fn from_label(label: &str) -> Option<Scale> {
-        match label {
-            "quick" => Some(Scale::Quick),
-            "full" => Some(Scale::Full),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -113,14 +103,5 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(Scale::Quick.label(), "quick");
         assert_eq!(Scale::Full.label(), "full");
-    }
-
-    #[test]
-    fn labels_round_trip_through_from_label() {
-        for scale in [Scale::Quick, Scale::Full] {
-            assert_eq!(Scale::from_label(scale.label()), Some(scale));
-        }
-        assert_eq!(Scale::from_label("paper"), None);
-        assert_eq!(Scale::from_label(""), None);
     }
 }

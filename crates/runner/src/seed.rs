@@ -9,6 +9,9 @@
 //! finalizer whose output passes BigCrush, which is far more than a cache
 //! simulator needs. Scenario ids enter through FNV-1a so that textual ids
 //! land on well-separated points of the SplitMix64 orbit.
+//!
+//! [`parse_seed`] is the grammar of `repro run --seed`: decimal or `0x…`
+//! hexadecimal.
 
 /// One application of the SplitMix64 finalizer.
 ///
@@ -36,6 +39,15 @@ pub fn scenario_seed(root: u64, scenario_id: &str) -> u64 {
 /// The per-point seed: the scenario seed advanced by the point index.
 pub fn point_seed(root: u64, scenario_id: &str, point_index: usize) -> u64 {
     splitmix64(scenario_seed(root, scenario_id) ^ splitmix64(point_index as u64))
+}
+
+/// Parses a seed written in decimal or `0x…` hexadecimal.
+pub fn parse_seed(text: &str) -> Option<u64> {
+    if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        u64::from_str_radix(hex, 16).ok()
+    } else {
+        text.parse().ok()
+    }
 }
 
 #[cfg(test)]
@@ -68,5 +80,16 @@ mod tests {
         let b = point_seed(2022, "fig6", 1);
         assert_ne!(a, b);
         assert_eq!(a, point_seed(2022, "fig6", 0));
+    }
+
+    #[test]
+    fn seeds_parse_as_decimal_or_hex() {
+        for text in ["2022", "0x7e6", "0X7E6"] {
+            assert_eq!(parse_seed(text), Some(2022), "{text}");
+        }
+        assert_eq!(parse_seed("18446744073709551615"), Some(u64::MAX));
+        for text in ["", "0x", "-1", "0x1g", "18446744073709551616"] {
+            assert_eq!(parse_seed(text), None, "{text:?}");
+        }
     }
 }

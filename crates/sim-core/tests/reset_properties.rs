@@ -1,11 +1,11 @@
 //! Property-based coverage for `Machine::reset`.
 //!
-//! The resident experiment service recycles one `Machine` across jobs, so a
-//! reset must be indistinguishable from fresh construction for *arbitrary*
-//! prior traffic — not just the hand-picked patterns of the unit tests.  The
-//! properties here dirty a machine with a generated trace (on a generated
-//! hierarchy preset), reset it, and require outcome-for-outcome identical
-//! replay against a genuinely fresh machine.
+//! `ChannelSession::transmit_frame` recycles one `Machine` across frames via
+//! `reset`, so a reset must be indistinguishable from fresh construction for
+//! *arbitrary* prior traffic — not just the hand-picked patterns of the unit
+//! tests. The properties here dirty a machine with a generated trace (on a
+//! generated hierarchy preset), reset it, and require outcome-for-outcome
+//! identical replay against a genuinely fresh machine.
 
 use proptest::prelude::*;
 use sim_cache::prelude::{HierarchyPreset, PhysAddr, PolicyKind};

@@ -16,8 +16,6 @@
 //!   write-through and fuzzy-time defenses, with an evaluation harness.
 //! * [`runner`] — the scenario registry and work-stealing parallel executor
 //!   behind the `repro` binary (see `docs/ARCHITECTURE.md`).
-//! * [`service`] — the resident experiment service behind `repro serve`:
-//!   HTTP job queue, content-addressed result cache, `/metrics`.
 //!
 //! ## Quickstart
 //!
@@ -43,7 +41,6 @@ pub use analysis;
 pub use baselines;
 pub use defenses;
 pub use runner;
-pub use service;
 pub use sim_cache;
 pub use sim_core;
 pub use wb_channel;
