@@ -244,7 +244,18 @@ mod tests {
         let sent = bytes_to_bits(b"dirty lines");
         let two_flips: Vec<bool> = (0..).zip(&sent).map(|(i, &b)| b ^ (i % 40 == 10)).collect();
         let inverted: Vec<bool> = sent.iter().map(|&bit| !bit).collect();
-        let cases: [(&[bool], &[bool], usize); 8] = [
+        // Frame-sized sequences with every `stride`-th bit flipped and the
+        // tail lost: a quarter of 128 bits edited, and 1024 bits drifting.
+        let pattern: Vec<bool> = (0..1024u64).map(|i| i * 11 % 7 < 3).collect();
+        let flipped = |len: usize, stride: usize, kept: usize| -> Vec<bool> {
+            (0..len)
+                .map(|i| pattern[i] ^ (i % stride == 0))
+                .take(kept)
+                .collect()
+        };
+        let quarter_edited = flipped(128, 5, 120);
+        let drifted = flipped(1024, 17, 1003);
+        let cases: [(&[bool], &[bool], usize); 10] = [
             (&sent[..30], &two_flips[..30], 1), // distance = the first k, 1
             (&sent, &sent[3..], 3),             // distance = the first k, |n - m|
             (&sent, &two_flips, 2),             // distance = k + 1: one doubling
@@ -253,6 +264,8 @@ mod tests {
             (&[], &sent[..10], 10),             // the other side empty
             (&sent, &inverted, 27),             // inverted: the band grows
             (&[true; 100], &[false; 100], 100), // ... to the full matrix
+            (&pattern[..128], &quarter_edited, 28),
+            (&pattern, &drifted, 74),
         ];
         for (a, b, distance) in cases {
             let banded = scored_breakdown(a, b);

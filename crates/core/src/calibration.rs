@@ -224,26 +224,6 @@ pub fn latency_cdfs(
         .collect()
 }
 
-/// Per-symbol calibration latency classes for an encoding (training data for
-/// [`Decoder::from_calibration`]).
-///
-/// # Errors
-///
-/// Propagates configuration errors from the underlying measurement loops.
-pub fn calibration_classes(
-    config: &CalibrationConfig,
-    encoding: &SymbolEncoding,
-) -> Result<Vec<Vec<f64>>, Error> {
-    encoding
-        .levels()
-        .iter()
-        .map(|&d| {
-            let samples = replacement_latency_samples(config, d)?;
-            Ok(samples.into_iter().map(|s| s as f64).collect())
-        })
-        .collect()
-}
-
 /// Calibrates a decoder for `encoding` on the configured machine.
 ///
 /// # Errors
@@ -394,17 +374,38 @@ mod tests {
 
     #[test]
     fn latency_grows_monotonically_with_dirty_count() {
-        let config = quiet_config();
-        let mut means = Vec::new();
-        for d in [0usize, 2, 4, 6, 8] {
-            let samples = replacement_latency_samples(&config, d).unwrap();
-            means.push(samples.iter().sum::<u64>() as f64 / samples.len() as f64);
+        // The paper's machine at L = 10, plus the replacement-set sizes and
+        // L1 policies the design-choice ablations vary.
+        let mut variants = vec![quiet_config()];
+        for replacement_size in [8, 12] {
+            let mut config = quiet_config();
+            config.replacement_size = replacement_size;
+            variants.push(config);
         }
-        for pair in means.windows(2) {
-            assert!(
-                pair[1] > pair[0],
-                "mean latency must increase with d: {means:?}"
-            );
+        for policy in [
+            PolicyKind::TrueLru,
+            PolicyKind::IntelLike,
+            PolicyKind::Random,
+        ] {
+            let mut config = quiet_config();
+            config.machine = MachineConfig::ideal(policy, 3);
+            variants.push(config);
+        }
+        for config in &variants {
+            let mut means = Vec::new();
+            for d in [0usize, 1, 2, 3, 4, 6, 8] {
+                let samples = replacement_latency_samples(config, d).unwrap();
+                assert_eq!(samples.len(), config.samples_per_level);
+                means.push(samples.iter().sum::<u64>() as f64 / samples.len() as f64);
+            }
+            for pair in means.windows(2) {
+                assert!(
+                    pair[1] > pair[0],
+                    "mean latency must increase with d ({:?}, L = {}): {means:?}",
+                    config.machine.hierarchy.l1d.replacement,
+                    config.replacement_size
+                );
+            }
         }
     }
 

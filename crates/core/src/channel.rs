@@ -396,17 +396,19 @@ mod tests {
 
     #[test]
     fn noiseless_binary_transmission_is_error_free() {
-        let config = quiet_config(SymbolEncoding::binary(1).unwrap(), 5_500);
-        let mut channel = ChannelSession::new(config).unwrap();
-        let payload: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
-        let report = channel.transmit_bits(&payload).unwrap();
-        assert_eq!(
-            report.edit_distance, 0,
-            "noiseless channel must be exact: sent {:?} got {:?} (latencies {:?})",
-            report.sent_bits, report.received_bits, report.latencies
-        );
-        assert_eq!(report.bit_error_rate(), 0.0);
-        assert!((report.rate_kbps - 400.0).abs() < 1e-9);
+        for (period, rate_kbps) in [(5_500, 400.0), (1_600, 1_375.0), (800, 2_750.0)] {
+            let config = quiet_config(SymbolEncoding::binary(1).unwrap(), period);
+            let mut channel = ChannelSession::new(config).unwrap();
+            let payload: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
+            let report = channel.transmit_bits(&payload).unwrap();
+            assert_eq!(
+                report.edit_distance, 0,
+                "noiseless channel must be exact at Ts = {period}: sent {:?} got {:?} (latencies {:?})",
+                report.sent_bits, report.received_bits, report.latencies
+            );
+            assert_eq!(report.bit_error_rate(), 0.0);
+            assert!((report.rate_kbps - rate_kbps).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -463,6 +465,18 @@ mod tests {
         let mut channel = ChannelSession::new(config).unwrap();
         let report = channel.evaluate(2, 64).unwrap();
         assert!((report.rate_kbps - 1_375.0).abs() < 1e-9);
+
+        // The paper's fastest point: two-bit symbols at Ts = 1000 are not
+        // always exact even on the quiet machine, but stay under 5% BER.
+        let config = quiet_config(SymbolEncoding::paper_two_bit(), 1_000);
+        let mut channel = ChannelSession::new(config).unwrap();
+        let report = channel.evaluate(2, 128).unwrap();
+        assert!((report.rate_kbps - 4_400.0).abs() < 1e-9);
+        assert!(
+            report.mean_bit_error_rate < 0.05,
+            "BER at 4400 kbps: {}",
+            report.mean_bit_error_rate
+        );
     }
 
     #[test]

@@ -211,11 +211,6 @@ impl Cache {
         self.stats.reset();
     }
 
-    /// The name of the replacement policy in use.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Restricts `domain` to the given ways for fills and victim selection.
     ///
     /// # Errors
@@ -228,11 +223,6 @@ impl Cache {
         }
         self.partitions.set(domain, mask);
         Ok(())
-    }
-
-    /// Removes all way-partitioning restrictions.
-    pub fn clear_partitions(&mut self) {
-        self.partitions.clear();
     }
 
     /// The way mask `domain` is allowed to use.

@@ -320,16 +320,6 @@ impl CacheHierarchy {
         self.latency
     }
 
-    /// The LLC inclusion policy in use.
-    pub fn inclusion_policy(&self) -> InclusionPolicy {
-        self.inclusion
-    }
-
-    /// The dirty-victim routing in use.
-    pub fn writeback_routing(&self) -> WritebackRouting {
-        self.writeback
-    }
-
     /// The L1 data-cache geometry (used to construct eviction sets).
     pub fn l1_geometry(&self) -> CacheGeometry {
         self.l1d.geometry()

@@ -203,11 +203,6 @@ impl PartitionTable {
         self.masks[index] = mask;
     }
 
-    /// Removes every restriction.
-    pub fn clear(&mut self) {
-        self.masks.clear();
-    }
-
     /// Whether any domain is restricted.
     pub fn is_empty(&self) -> bool {
         self.masks.is_empty()
@@ -337,8 +332,5 @@ mod tests {
         assert_eq!(table.resolve(4), all, "beyond the table: default");
         table.set(0, WayMask::range(4, 8));
         assert_eq!(table.resolve(0), WayMask::range(4, 8));
-        table.clear();
-        assert!(table.is_empty());
-        assert_eq!(table.resolve(3), all);
     }
 }
