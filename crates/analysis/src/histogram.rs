@@ -52,13 +52,6 @@ impl Histogram {
         }
     }
 
-    /// Adds many observations.
-    pub fn record_all<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for v in values {
-            self.record(v);
-        }
-    }
-
     /// Total number of observations (including under/overflow).
     pub fn total(&self) -> u64 {
         self.total
@@ -178,7 +171,9 @@ mod tests {
     #[test]
     fn histogram_counts_land_in_the_right_bins() {
         let mut h = Histogram::new(0.0, 10.0, 5);
-        h.record_all([0.5, 1.5, 2.5, 9.9, -1.0, 10.0, 11.0]);
+        for v in [0.5, 1.5, 2.5, 9.9, -1.0, 10.0, 11.0] {
+            h.record(v);
+        }
         assert_eq!(h.total(), 7);
         assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
         assert_eq!(h.bins().len(), 5);
@@ -189,7 +184,9 @@ mod tests {
     #[test]
     fn histogram_cdf_is_monotonic_and_reaches_one_without_overflow() {
         let mut h = Histogram::new(0.0, 100.0, 10);
-        h.record_all((0..100).map(|i| i as f64));
+        for i in 0..100 {
+            h.record(f64::from(i));
+        }
         let cdf = h.cdf();
         let mut prev = 0.0;
         for p in &cdf.points {

@@ -10,7 +10,6 @@
 
 use analysis::edit_distance::bit_error_rate;
 use analysis::threshold::BinaryThreshold;
-use wb_channel::Error;
 
 /// How a noisy cache line interferes with a transmission (Figure 8).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,7 +35,7 @@ impl NoiseSpec {
 /// Outcome of one baseline transmission.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineReport {
-    /// Channel name ("Flush+Reload", "Prime+Probe", ...).
+    /// Channel name ("Prime+Probe" or "LRU channel").
     pub channel: String,
     /// Bits given to the sender.
     pub sent: Vec<bool>,
@@ -69,37 +68,6 @@ impl BaselineReport {
             sender_accesses,
         }
     }
-}
-
-/// A covert channel evaluated against the WB channel.
-pub trait BaselineChannel {
-    /// Human-readable channel name.
-    fn name(&self) -> &'static str;
-
-    /// Whether the channel needs memory shared between sender and receiver
-    /// (Table I's reuse-based attacks).
-    fn requires_shared_memory(&self) -> bool;
-
-    /// Whether the channel needs the `clflush` instruction.
-    fn requires_clflush(&self) -> bool;
-
-    /// Transmits `bits` and returns the report.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors from the underlying simulator.
-    fn transmit(&mut self, bits: &[bool]) -> Result<BaselineReport, Error>;
-
-    /// Transmits `bits` while a noisy cache line interferes.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors from the underlying simulator.
-    fn transmit_with_noise(
-        &mut self,
-        bits: &[bool],
-        noise: NoiseSpec,
-    ) -> Result<BaselineReport, Error>;
 }
 
 /// Classifies an observable with a calibrated threshold, honouring the

@@ -1,7 +1,7 @@
 //! Cross-channel comparisons: Table I, Figure 8 and the Table VI load
 //! comparison.
 
-use crate::common::{BaselineChannel, NoiseSpec};
+use crate::common::NoiseSpec;
 use crate::lru_channel::LruChannel;
 use crate::prime_probe::PrimeProbe;
 use rand::rngs::StdRng;
@@ -27,8 +27,8 @@ pub struct ClassificationRow {
     pub needs_clflush: bool,
 }
 
-/// The classification table (Table I) for the channels implemented in this
-/// repository.
+/// The classification table (Table I): the channels the paper compares,
+/// whether or not this repository simulates them.
 pub fn classification_table() -> Vec<ClassificationRow> {
     let row = |channel: &str, class: &str, basis: &str, mem: bool, flush: bool| ClassificationRow {
         channel: channel.to_owned(),

@@ -7,9 +7,7 @@
 //! breaks it, while the WB channel shrugs it off; Section VII additionally
 //! compares the two senders' cache-load footprints (Table VI).
 
-use crate::common::{
-    calibrate_threshold, classify_bit, BaselineChannel, BaselineReport, NoiseSpec,
-};
+use crate::common::{calibrate_threshold, classify_bit, BaselineReport, NoiseSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_cache::policy::PolicyKind;
@@ -154,26 +152,27 @@ impl LruChannel {
             sender_accesses,
         ))
     }
-}
 
-impl BaselineChannel for LruChannel {
-    fn name(&self) -> &'static str {
+    /// Human-readable channel name.
+    pub fn name(&self) -> &'static str {
         "LRU channel"
     }
 
-    fn requires_shared_memory(&self) -> bool {
-        false
-    }
-
-    fn requires_clflush(&self) -> bool {
-        false
-    }
-
-    fn transmit(&mut self, bits: &[bool]) -> Result<BaselineReport, Error> {
+    /// Transmits `bits` and returns the report.
+    ///
+    /// # Errors
+    ///
+    /// Returns configuration errors from the underlying simulator.
+    pub fn transmit(&mut self, bits: &[bool]) -> Result<BaselineReport, Error> {
         self.run(bits, None)
     }
 
-    fn transmit_with_noise(
+    /// Transmits `bits` while a noisy cache line interferes.
+    ///
+    /// # Errors
+    ///
+    /// Returns configuration errors from the underlying simulator.
+    pub fn transmit_with_noise(
         &mut self,
         bits: &[bool],
         noise: NoiseSpec,
@@ -201,8 +200,6 @@ mod tests {
             "LRU channel BER {}",
             report.bit_error_rate
         );
-        assert!(!channel.requires_shared_memory());
-        assert!(!channel.requires_clflush());
     }
 
     #[test]

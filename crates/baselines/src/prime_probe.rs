@@ -7,9 +7,7 @@
 //! the whole set every period, and a single noisy cache line already causes
 //! probe misses (Sec. VI).
 
-use crate::common::{
-    calibrate_threshold, classify_bit, BaselineChannel, BaselineReport, NoiseSpec,
-};
+use crate::common::{calibrate_threshold, classify_bit, BaselineReport, NoiseSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_cache::policy::PolicyKind;
@@ -149,26 +147,27 @@ impl PrimeProbe {
             sender_accesses,
         ))
     }
-}
 
-impl BaselineChannel for PrimeProbe {
-    fn name(&self) -> &'static str {
+    /// Human-readable channel name.
+    pub fn name(&self) -> &'static str {
         "Prime+Probe"
     }
 
-    fn requires_shared_memory(&self) -> bool {
-        false
-    }
-
-    fn requires_clflush(&self) -> bool {
-        false
-    }
-
-    fn transmit(&mut self, bits: &[bool]) -> Result<BaselineReport, Error> {
+    /// Transmits `bits` and returns the report.
+    ///
+    /// # Errors
+    ///
+    /// Returns configuration errors from the underlying simulator.
+    pub fn transmit(&mut self, bits: &[bool]) -> Result<BaselineReport, Error> {
         self.run(bits, None)
     }
 
-    fn transmit_with_noise(
+    /// Transmits `bits` while a noisy cache line interferes.
+    ///
+    /// # Errors
+    ///
+    /// Returns configuration errors from the underlying simulator.
+    pub fn transmit_with_noise(
         &mut self,
         bits: &[bool],
         noise: NoiseSpec,
@@ -189,8 +188,6 @@ mod tests {
     #[test]
     fn prime_probe_transmits_without_shared_memory() {
         let mut channel = PrimeProbe::new(5);
-        assert!(!channel.requires_shared_memory());
-        assert!(!channel.requires_clflush());
         let bits = payload(5, 96);
         let report = channel.transmit(&bits).unwrap();
         assert!(

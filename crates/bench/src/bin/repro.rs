@@ -6,6 +6,10 @@
 //!   repro run <id|glob>... [--quick|--full] [--threads N] [--out DIR]
 //!                          [--seed SEED] [--no-progress] [--verbose]
 //!                          [--allow-empty]
+//!   repro check [<id|glob>...] [--verbose]
+//!   repro trace <id|glob>... [--quick|--full] [--out DIR]
+//!   repro lint [DIR]
+//!   repro bench-sim [--quick|--full] [--out DIR] [--baseline PATH] [--max-regress PCT]
 //! ```
 //!
 //! `list` prints the scenario registry: stable id, paper cross-reference,
@@ -14,6 +18,10 @@
 //! points out across `--threads` workers (default: all cores), prints each
 //! result table, writes Markdown/CSV/JSON copies under the output directory
 //! (default `results/`), and records the run in `results/manifest.json`.
+//! `check` statically verifies the selected scenarios' compiled trace
+//! programs, `trace` reruns their operating points with cycle-domain
+//! telemetry, `lint` runs the workspace determinism linter and `bench-sim`
+//! measures and gates cache-hierarchy throughput; `USAGE` below details each.
 //!
 //! Results are bit-identical at any `--threads` value: every point's seed is
 //! derived from `(--seed, scenario id, point index)` before execution.
@@ -443,12 +451,10 @@ fn main() -> ExitCode {
             if verbose {
                 let pool = runner::pool::stats().since(&pool_before);
                 emit(&format_args!(
-                    "pool: tasks queued={} completed={} panicked={} steals={} \
-                     peak queue depth={}",
+                    "pool: tasks queued={} completed={} panicked={} peak queue depth={}",
                     pool.tasks_queued,
                     pool.tasks_completed,
                     pool.tasks_panicked,
-                    pool.steals,
                     pool.peak_queue_depth,
                 ));
             }

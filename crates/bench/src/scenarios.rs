@@ -16,7 +16,6 @@
 //! cores while keeping every cell bit-identical at any thread count.
 
 use analysis::table::{fixed, percent, percent2, Table};
-use baselines::common::BaselineChannel;
 use baselines::comparison::{
     classification_table, loads_per_ms_estimate, noise_robustness_comparison,
 };

@@ -174,14 +174,18 @@ mod tests {
         )
     }
 
-    /// Runs the sender's program alone on an ideal machine whose clock
-    /// starts at `start`; returns its report and the session's end cycle.
-    fn run(sender: &WbSender, start: u64) -> (ProgramReport, u64) {
+    /// Runs the sender's program alone on an ideal machine, after a lead-in
+    /// session that idles until cycle `lead_in`; returns its report, the
+    /// cycle the sender started at and the session's end cycle.
+    fn run(sender: &WbSender, lead_in: u64) -> (ProgramReport, u64, u64) {
         let mut machine = Machine::new(MachineConfig::ideal(PolicyKind::TreePlru, 1)).unwrap();
-        machine.advance(start);
+        let mut idle = TraceProgram::new("idle", 1);
+        idle.wait_until(lead_in);
+        machine.run_session(&[idle], None, 1_000_000);
+        let start = machine.now();
         let mut report = machine.run_session(&[sender.compile()], None, 1_000_000);
         assert!(!report.hit_limit);
-        (report.programs.remove(0), report.finished_at)
+        (report.programs.remove(0), start, report.finished_at)
     }
 
     #[test]
@@ -191,7 +195,7 @@ mod tests {
         let stats = sender.compile().stats();
         assert_eq!(stats.ops, 6, "two '1' symbols at d=3");
         assert_eq!(stats.waits, 3, "one wait per symbol");
-        let (report, _) = run(&sender, 0);
+        let (report, _, _) = run(&sender, 0);
         assert_eq!(report.summary.writes, 6);
         assert_eq!(report.summary.reads, 0);
     }
@@ -200,7 +204,7 @@ mod tests {
     fn multi_bit_symbols_store_their_level() {
         let encoding = SymbolEncoding::paper_two_bit();
         let sender = WbSender::new(2, lines(), encoding, vec![0, 1, 2, 3], 2_000);
-        let (report, _) = run(&sender, 0);
+        let (report, _, _) = run(&sender, 0);
         assert_eq!(report.summary.writes, 3 + 5 + 8);
     }
 
@@ -210,8 +214,9 @@ mod tests {
         // a period never shift the following boundaries.
         let encoding = SymbolEncoding::binary(1).unwrap();
         let sender = WbSender::new(2, lines(), encoding, vec![1, 0, 1], 5_000);
-        let (_, end) = run(&sender, 100);
-        assert_eq!(end, 100 + 3 * 5_000);
+        let (_, start, end) = run(&sender, 100);
+        assert!(start >= 100);
+        assert_eq!(end, start + 3 * 5_000);
         let epoch = WbSender::new(
             2,
             lines(),
@@ -220,7 +225,7 @@ mod tests {
             5_000,
         )
         .with_start_epoch(20_000);
-        let (_, end) = run(&epoch, 100);
+        let (_, _, end) = run(&epoch, 100);
         assert_eq!(
             end,
             20_000 + 2 * 5_000,
@@ -258,7 +263,7 @@ mod tests {
         let encoding = SymbolEncoding::binary(1).unwrap();
         let sender =
             WbSender::new(2, lines(), encoding, vec![0, 1, 0], 1_000).with_spin_footprint(spin, 6);
-        let (report, _) = run(&sender, 0);
+        let (report, _, _) = run(&sender, 0);
         assert_eq!(
             report.summary.reads, 18,
             "6 spin loads per period over 3 symbols"

@@ -329,18 +329,6 @@ pub fn run_scenario(
     })
 }
 
-/// Runs all three scenarios.
-///
-/// # Errors
-///
-/// Propagates errors from [`run_scenario`].
-pub fn run_all(config: &SideChannelConfig) -> Result<Vec<SideChannelResult>, Error> {
-    Scenario::ALL
-        .iter()
-        .map(|&s| run_scenario(config, s))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,14 +372,6 @@ mod tests {
             "scenario 3 accuracy too low: {}",
             result.accuracy
         );
-    }
-
-    #[test]
-    fn run_all_covers_every_scenario() {
-        let results = run_all(&quiet_config()).unwrap();
-        assert_eq!(results.len(), 3);
-        let labels: Vec<_> = results.iter().map(|r| r.scenario.label()).collect();
-        assert!(labels.iter().all(|l| !l.is_empty()));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The scenario-sweep engine behind the `repro` binary: a registry of every
 //! experiment in the reproduction of *Abusing Cache Line Dirty States to Leak
 //! Information in Commercial Processors* (HPCA 2022) plus a hand-rolled
-//! work-stealing thread pool that fans sweep points out across cores.
+//! thread pool that fans sweep points out across cores.
 //!
 //! The crate is deliberately domain-free — it knows about experiment *shape*
 //! (scenarios made of independently runnable sweep points that produce
@@ -21,7 +21,7 @@
 //!   deterministic assembly step.
 //! * [`registry`] — the [`Registry`]: ordered scenario
 //!   collection with glob-pattern selection (`repro run 'table*'`).
-//! * [`pool`] — the work-stealing executor over `std::thread` (the build is
+//! * [`pool`] — a shared-queue executor over `std::thread` (the build is
 //!   offline, so no rayon); results come back in submission order regardless
 //!   of thread count, panics are confined to the job that raised them, and
 //!   cheap atomic counters ([`PoolStats`]) feed `repro run --verbose`.

@@ -1,14 +1,11 @@
-//! A hand-rolled work-stealing thread pool over `std::thread`.
+//! A hand-rolled thread pool over `std::thread`.
 //!
 //! The build environment is offline (no rayon/crossbeam), so the executor
-//! brings its own pool: each worker owns a deque seeded round-robin with
-//! tasks; a worker pops from the *front* of its own deque and steals from
-//! the *back* of a victim's. (Classic Blumofe–Leiserson pools pop LIFO for
-//! cache locality between parent and spawned child tasks; here every task
-//! is submitted up front and tasks never spawn tasks, so FIFO own-pop keeps
-//! execution in rough submission order — progress lines follow the paper's
-//! narrative — at no cost.) A worker that finds every deque empty can simply
-//! retire.
+//! brings its own pool: every task is submitted up front and tasks never
+//! spawn tasks, so the workers share one queue — a `Mutex`-guarded iterator
+//! over the jobs — and each takes the next job in submission order (progress
+//! lines follow the paper's narrative). A worker that finds the queue empty
+//! retires.
 //!
 //! Determinism: results are returned **in submission order** no matter which
 //! worker ran what, and seeds are derived before submission — scheduling can
@@ -21,10 +18,9 @@
 //! panic-propagating contract on top of it.
 //!
 //! Instrumentation: the pool keeps cheap process-wide atomic counters (tasks
-//! queued/completed/panicked, steals, queue depth and its peak). [`stats`]
+//! queued/completed/panicked, queue depth and its peak). [`stats`]
 //! snapshots them as a [`PoolStats`]; `repro run --verbose` reads from here.
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +40,6 @@ pub fn default_threads() -> usize {
 static TASKS_QUEUED: AtomicU64 = AtomicU64::new(0);
 static TASKS_COMPLETED: AtomicU64 = AtomicU64::new(0);
 static TASKS_PANICKED: AtomicU64 = AtomicU64::new(0);
-static STEALS: AtomicU64 = AtomicU64::new(0);
 static QUEUE_DEPTH: AtomicU64 = AtomicU64::new(0);
 static PEAK_QUEUE_DEPTH: AtomicU64 = AtomicU64::new(0);
 
@@ -62,8 +57,6 @@ pub struct PoolStats {
     pub tasks_completed: u64,
     /// Tasks that panicked (caught and reported per-slot).
     pub tasks_panicked: u64,
-    /// Successful steals of a task from another worker's deque.
-    pub steals: u64,
     /// Tasks currently queued or running (a gauge, not a counter).
     pub queue_depth: u64,
     /// The highest `queue_depth` ever observed.
@@ -80,7 +73,6 @@ impl PoolStats {
                 .tasks_completed
                 .saturating_sub(baseline.tasks_completed),
             tasks_panicked: self.tasks_panicked.saturating_sub(baseline.tasks_panicked),
-            steals: self.steals.saturating_sub(baseline.steals),
             queue_depth: self.queue_depth,
             peak_queue_depth: self.peak_queue_depth,
         }
@@ -93,7 +85,6 @@ pub fn stats() -> PoolStats {
         tasks_queued: TASKS_QUEUED.load(Ordering::Relaxed),
         tasks_completed: TASKS_COMPLETED.load(Ordering::Relaxed),
         tasks_panicked: TASKS_PANICKED.load(Ordering::Relaxed),
-        steals: STEALS.load(Ordering::Relaxed),
         queue_depth: QUEUE_DEPTH.load(Ordering::Relaxed),
         peak_queue_depth: PEAK_QUEUE_DEPTH.load(Ordering::Relaxed),
     }
@@ -115,7 +106,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Records the counter updates around one task execution and runs it with a
 /// panic guard. Must be called outside every pool lock so a panic can never
-/// poison a deque or slot mutex.
+/// poison the queue or a slot mutex.
 fn run_one<T>(job: impl FnOnce() -> T) -> Result<T, String> {
     let result = catch_unwind(AssertUnwindSafe(job));
     QUEUE_DEPTH.fetch_sub(1, Ordering::Relaxed);
@@ -161,45 +152,21 @@ where
     }
     let workers = threads.min(job_count);
 
-    // Per-worker deques, seeded round-robin so the initial split is even.
-    let deques: Vec<Mutex<VecDeque<(usize, F)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (index, job) in jobs.into_iter().enumerate() {
-        deques[index % workers]
-            .lock()
-            .expect("deque poisoned")
-            .push_back((index, job));
-    }
-
+    let queue = Mutex::new(jobs.into_iter().enumerate());
     // One slot per job; each job writes exactly its own slot, so the only
     // contention is the brief per-slot lock.
     let slots: Vec<Mutex<Option<Result<T, String>>>> =
         (0..job_count).map(|_| Mutex::new(None)).collect();
 
     thread::scope(|scope| {
-        for me in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            scope.spawn(move || loop {
-                let mut task = deques[me].lock().expect("deque poisoned").pop_front();
-                if task.is_none() {
-                    for offset in 1..workers {
-                        let victim = (me + offset) % workers;
-                        task = deques[victim].lock().expect("deque poisoned").pop_back();
-                        if task.is_some() {
-                            STEALS.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-                match task {
-                    Some((index, job)) => {
-                        let value = run_one(job);
-                        *slots[index].lock().expect("slot poisoned") = Some(value);
-                    }
-                    // Every deque is empty and no task spawns tasks: retire.
-                    None => break,
-                }
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                // The guard drops at the end of this statement, so the job
+                // below runs outside the queue lock.
+                let next = queue.lock().expect("queue poisoned").next();
+                let Some((index, job)) = next else { break };
+                let value = run_one(job);
+                *slots[index].lock().expect("slot poisoned") = Some(value);
             });
         }
     });

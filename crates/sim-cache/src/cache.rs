@@ -25,8 +25,7 @@
 use crate::addr::{CacheGeometry, LineAddr, PhysAddr};
 use crate::config::{CacheConfig, WritePolicy};
 use crate::line::DomainId;
-use crate::policy::PolicyDispatch;
-use crate::set::SetView;
+use crate::policy::{PolicyDispatch, ReplacementPolicy};
 use crate::stats::CacheStats;
 use crate::waymask::{PartitionTable, WayMask};
 use std::fmt;
@@ -139,12 +138,9 @@ impl Cache {
     /// non-power-of-two associativity).
     pub fn new(config: CacheConfig, seed: u64) -> crate::Result<Cache> {
         let geometry = config.geometry;
-        let policy = PolicyDispatch::build(
-            config.replacement,
-            geometry.num_sets,
-            geometry.associativity,
-            seed,
-        )?;
+        let policy = config
+            .replacement
+            .build(geometry.num_sets, geometry.associativity, seed)?;
         let all_ways = WayMask::all(geometry.associativity);
         Ok(Cache {
             config,
@@ -178,8 +174,7 @@ impl Cache {
             *self = Cache::new(config, seed)?;
             return Ok(());
         }
-        self.policy = PolicyDispatch::build(
-            config.replacement,
+        self.policy = config.replacement.build(
             config.geometry.num_sets,
             config.geometry.associativity,
             seed,
@@ -283,34 +278,23 @@ impl Cache {
     /// This is the quantity the WB sender controls; exposing it lets tests
     /// and experiments verify the encoding without going through timing.
     pub fn dirty_count_in_set(&self, set: usize) -> usize {
-        self.set(set).dirty_count()
+        self.masks[set].dirty.count_ones() as usize
     }
 
     /// Number of valid lines currently in `set`.
     pub fn valid_count_in_set(&self, set: usize) -> usize {
-        self.set(set).valid_count()
+        self.masks[set].valid.count_ones() as usize
     }
 
     /// Number of valid lines in `set` owned by `domain`.
     pub fn owned_count_in_set(&self, set: usize, domain: DomainId) -> usize {
-        self.set(set).owned_count(domain)
-    }
-
-    /// Shared view of a set (for experiment introspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` is out of range.
-    pub fn set(&self, set: usize) -> SetView<'_> {
         let base = set * self.ways;
-        let masks = self.masks[set];
-        SetView::new(
-            &self.tags[base..base + self.ways],
-            &self.owners[base..base + self.ways],
-            masks.valid,
-            masks.dirty,
-            masks.locked,
-        )
+        let valid = self.masks[set].valid;
+        self.owners[base..base + self.ways]
+            .iter()
+            .enumerate()
+            .filter(|&(way, &owner)| owner == domain && valid & Self::bit(way) != 0)
+            .count()
     }
 
     /// Looks up `addr` for a load.  On a hit the policy is refreshed and the
@@ -807,17 +791,25 @@ mod tests {
     }
 
     #[test]
-    fn set_view_exposes_the_arena_contents() {
+    fn count_accessors_expose_the_arena_contents() {
         let mut cache = l1(PolicyKind::TrueLru);
         let ctx = AccessContext::for_domain(3);
         cache.fill(addr(6, 40), ctx, true, false);
         cache.fill(addr(6, 41), ctx, false, false);
-        let view = cache.set(6);
-        assert_eq!(view.ways(), 8);
-        assert_eq!(view.valid_count(), 2);
-        assert_eq!(view.dirty_count(), 1);
-        assert_eq!(view.resident_tags(), vec![40, 41]);
-        assert_eq!(view.owned_count(3), 2);
+        cache.fill(addr(6, 42), AccessContext::for_domain(1), true, false);
+        assert_eq!(cache.valid_count_in_set(6), 3);
+        assert_eq!(cache.dirty_count_in_set(6), 2);
+        assert_eq!(cache.owned_count_in_set(6, 3), 2);
+        assert_eq!(cache.owned_count_in_set(6, 1), 1);
+        assert_eq!(cache.invalidate(addr(6, 42)), Some(true));
+        assert_eq!(cache.valid_count_in_set(6), 2);
+        assert_eq!(cache.dirty_count_in_set(6), 1);
+        assert_eq!(
+            cache.owned_count_in_set(6, 1),
+            0,
+            "invalid ways own nothing"
+        );
+        assert_eq!(cache.valid_count_in_set(5), 0);
     }
 
     #[test]

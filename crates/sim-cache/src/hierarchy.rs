@@ -173,13 +173,6 @@ impl HierarchyPreset {
         }
     }
 
-    /// Parses a [`HierarchyPreset::label`] back into a preset.
-    pub fn from_label(label: &str) -> Option<HierarchyPreset> {
-        HierarchyPreset::ALL
-            .into_iter()
-            .find(|p| p.label() == label)
-    }
-
     /// The preset's inclusion policy.
     pub fn inclusion(self) -> InclusionPolicy {
         match self {
@@ -1194,9 +1187,11 @@ mod tests {
     #[test]
     fn presets_round_trip_labels_and_intel_matches_the_default() {
         for preset in HierarchyPreset::ALL {
-            assert_eq!(HierarchyPreset::from_label(preset.label()), Some(preset));
+            let by_label = HierarchyPreset::ALL
+                .into_iter()
+                .find(|p| p.label() == preset.label());
+            assert_eq!(by_label, Some(preset), "labels are distinct");
         }
-        assert_eq!(HierarchyPreset::from_label("verboten"), None);
         let intel = HierarchyPreset::IntelInclusive
             .config(PolicyKind::TreePlru, 16, 7)
             .expect("intel preset is valid");

@@ -8,15 +8,16 @@
 //! micro-architectural facts, all of which this crate models explicitly:
 //!
 //! * write-back caches keep a **dirty bit** per line and only update the
-//!   backing store when a dirty line is evicted ([`line::CacheLine`]);
+//!   backing store when a dirty line is evicted ([`cache::Cache::is_dirty`],
+//!   [`cache::Cache::dirty_count_in_set`]);
 //! * evicting a dirty victim therefore costs a **write-back penalty** on top
 //!   of the fill latency ([`latency::LatencyModel`], calibrated to the
 //!   paper's Table IV);
 //! * which line becomes the victim is decided by a **replacement policy**
 //!   ([`policy`]): true LRU, Tree-PLRU, pseudo-random (LFSR), an
 //!   "Intel-like" imperfect PLRU that approximates the undocumented
-//!   Xeon E5-2650 behaviour of the paper's Table II, plus FIFO and SRRIP as
-//!   extensions;
+//!   Xeon E5-2650 behaviour of the paper's Table II, plus NRU and SRRIP for
+//!   the hierarchy-matrix policy grid;
 //! * victim selection can be restricted by **way masks** and **line locks**
 //!   ([`waymask::WayMask`], [`cache::Cache::lock_line`]) which is how the
 //!   NoMo / DAWG / PLcache defenses are expressed.
@@ -65,7 +66,6 @@ pub mod line;
 pub mod outcome;
 pub mod policy;
 pub mod seed;
-pub mod set;
 pub mod stats;
 pub mod trace;
 pub mod waymask;

@@ -15,13 +15,13 @@
 //!   policy the paper measures on the Xeon E5-2650 (Table II): Tree-PLRU with
 //!   occasional mispredicted victims plus an anti-starvation bound that
 //!   guarantees eviction once ten distinct lines have been filled.
-//! * [`Fifo`], [`Nru`] and [`Srrip`] — extensions used by the ablation
-//!   benches.
+//! * [`Nru`] and [`Srrip`] — two more points of the hierarchy-matrix policy
+//!   grid.
 //!
-//! Policies are driven through the object-safe [`ReplacementPolicy`] trait so
-//! a [`crate::cache::Cache`] can hold any of them behind a `Box`.
+//! Every policy implements [`ReplacementPolicy`]; a [`crate::cache::Cache`]
+//! holds one through the [`PolicyDispatch`] enum that [`PolicyKind::build`]
+//! returns.
 
-mod fifo;
 mod intel_like;
 mod lru;
 mod nru;
@@ -29,7 +29,6 @@ mod plru;
 mod random;
 mod srrip;
 
-pub use fifo::Fifo;
 pub use intel_like::IntelLike;
 pub use lru::TrueLru;
 pub use nru::Nru;
@@ -40,7 +39,7 @@ pub use srrip::Srrip;
 use crate::waymask::WayMask;
 use std::fmt;
 
-/// Object-safe interface every replacement policy implements.
+/// Interface every replacement policy implements.
 ///
 /// A policy instance manages the metadata for *all* sets of one cache level;
 /// the cache passes the set index on every call.  Victim selection receives a
@@ -81,16 +80,6 @@ pub enum PolicyKind {
     Random,
     /// Approximation of the measured Intel Xeon E5-2650 L1D behaviour.
     IntelLike,
-    /// Intel-like with explicit mispredict probability and staleness bound.
-    IntelLikeTuned {
-        /// Probability that victim selection deviates from the PLRU choice.
-        mispredict: f64,
-        /// Number of consecutive fills a line can survive without being
-        /// touched before it is forcibly evicted.
-        max_staleness: u32,
-    },
-    /// First-in first-out.
-    Fifo,
     /// Not-recently-used (single reference bit per line).
     Nru,
     /// Static re-reference interval prediction with 2-bit RRPVs.
@@ -111,8 +100,7 @@ impl PolicyKind {
             PolicyKind::TrueLru => "LRU",
             PolicyKind::TreePlru => "Tree-PLRU",
             PolicyKind::Random => "Random",
-            PolicyKind::IntelLike | PolicyKind::IntelLikeTuned { .. } => "Intel-like",
-            PolicyKind::Fifo => "FIFO",
+            PolicyKind::IntelLike => "Intel-like",
             PolicyKind::Nru => "NRU",
             PolicyKind::Srrip => "SRRIP",
         }
@@ -126,30 +114,16 @@ impl PolicyKind {
     /// Returns [`crate::Error::UnsupportedAssociativity`] when the policy
     /// cannot handle the requested associativity (Tree-PLRU needs a power of
     /// two number of ways).
-    pub fn build(
-        self,
-        num_sets: usize,
-        ways: usize,
-        seed: u64,
-    ) -> crate::Result<Box<dyn ReplacementPolicy>> {
+    pub fn build(self, num_sets: usize, ways: usize, seed: u64) -> crate::Result<PolicyDispatch> {
         Ok(match self {
-            PolicyKind::TrueLru => Box::new(TrueLru::new(num_sets, ways)),
-            PolicyKind::TreePlru => Box::new(TreePlru::new(num_sets, ways)?),
-            PolicyKind::Random => Box::new(PseudoRandom::new(num_sets, ways, seed)),
-            PolicyKind::IntelLike => Box::new(IntelLike::new(num_sets, ways, seed)?),
-            PolicyKind::IntelLikeTuned {
-                mispredict,
-                max_staleness,
-            } => Box::new(IntelLike::with_parameters(
-                num_sets,
-                ways,
-                seed,
-                mispredict,
-                max_staleness,
-            )?),
-            PolicyKind::Fifo => Box::new(Fifo::new(num_sets, ways)),
-            PolicyKind::Nru => Box::new(Nru::new(num_sets, ways)),
-            PolicyKind::Srrip => Box::new(Srrip::new(num_sets, ways)),
+            PolicyKind::TrueLru => PolicyDispatch::TrueLru(TrueLru::new(num_sets, ways)),
+            PolicyKind::TreePlru => PolicyDispatch::TreePlru(TreePlru::new(num_sets, ways)?),
+            PolicyKind::Random => PolicyDispatch::Random(PseudoRandom::new(num_sets, ways, seed)),
+            PolicyKind::IntelLike => {
+                PolicyDispatch::IntelLike(IntelLike::new(num_sets, ways, seed)?)
+            }
+            PolicyKind::Nru => PolicyDispatch::Nru(Nru::new(num_sets, ways)),
+            PolicyKind::Srrip => PolicyDispatch::Srrip(Srrip::new(num_sets, ways)),
         })
     }
 }
@@ -160,117 +134,47 @@ impl fmt::Display for PolicyKind {
     }
 }
 
-/// The policy dispatcher a [`crate::cache::Cache`] holds.
-///
-/// The policies on the WB-channel hot path (Tree-PLRU and its Intel-like
-/// perturbation, true LRU, pseudo-random) get static enum dispatch so the
-/// per-access `on_hit`/`choose_victim` calls inline into the cache's access
-/// path; the ablation-only policies stay behind the object-safe trait.  The
-/// behaviour is identical either way — this is purely a devirtualisation of
-/// the hot calls.
+/// Runs `$call` on whichever policy `$dispatch` holds, bound as `$p`.
+macro_rules! dispatch {
+    ($dispatch:expr, $p:ident => $call:expr) => {
+        match $dispatch {
+            PolicyDispatch::TreePlru($p) => $call,
+            PolicyDispatch::TrueLru($p) => $call,
+            PolicyDispatch::Random($p) => $call,
+            PolicyDispatch::IntelLike($p) => $call,
+            PolicyDispatch::Nru($p) => $call,
+            PolicyDispatch::Srrip($p) => $call,
+        }
+    };
+}
+
+/// The replacement policy a [`crate::cache::Cache`] holds: one variant per
+/// [`PolicyKind`], statically dispatched so the per-access
+/// `on_hit`/`choose_victim` calls inline into the cache's access path.
 #[derive(Debug)]
-pub(crate) enum PolicyDispatch {
-    /// Statically dispatched Tree-PLRU.
+pub enum PolicyDispatch {
+    /// Tree-PLRU.
     TreePlru(TreePlru),
-    /// Statically dispatched true LRU.
+    /// True LRU.
     TrueLru(TrueLru),
-    /// Statically dispatched pseudo-random (LFSR).
+    /// Pseudo-random (LFSR).
     Random(PseudoRandom),
-    /// Statically dispatched Intel-like imperfect PLRU.
+    /// Intel-like imperfect PLRU.
     IntelLike(IntelLike),
-    /// Everything else (FIFO, NRU, SRRIP) through the trait object.
-    Boxed(Box<dyn ReplacementPolicy>),
+    /// Not-recently-used.
+    Nru(Nru),
+    /// Static re-reference interval prediction.
+    Srrip(Srrip),
 }
 
 impl PolicyDispatch {
-    /// Instantiates the dispatcher for `kind`.
-    pub(crate) fn build(
-        kind: PolicyKind,
-        num_sets: usize,
-        ways: usize,
-        seed: u64,
-    ) -> crate::Result<PolicyDispatch> {
-        Ok(match kind {
-            PolicyKind::TreePlru => PolicyDispatch::TreePlru(TreePlru::new(num_sets, ways)?),
-            PolicyKind::TrueLru => PolicyDispatch::TrueLru(TrueLru::new(num_sets, ways)),
-            PolicyKind::Random => PolicyDispatch::Random(PseudoRandom::new(num_sets, ways, seed)),
-            PolicyKind::IntelLike => {
-                PolicyDispatch::IntelLike(IntelLike::new(num_sets, ways, seed)?)
-            }
-            other => PolicyDispatch::Boxed(other.build(num_sets, ways, seed)?),
-        })
-    }
-
-    /// Short, human-readable policy name used in result tables.
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            PolicyDispatch::TreePlru(p) => p.name(),
-            PolicyDispatch::TrueLru(p) => p.name(),
-            PolicyDispatch::Random(p) => p.name(),
-            PolicyDispatch::IntelLike(p) => p.name(),
-            PolicyDispatch::Boxed(p) => p.name(),
-        }
-    }
-
-    /// Records a hit on `way` of `set`.
-    #[inline]
-    pub(crate) fn on_hit(&mut self, set: usize, way: usize) {
-        match self {
-            PolicyDispatch::TreePlru(p) => p.on_hit(set, way),
-            PolicyDispatch::TrueLru(p) => p.on_hit(set, way),
-            PolicyDispatch::Random(p) => p.on_hit(set, way),
-            PolicyDispatch::IntelLike(p) => p.on_hit(set, way),
-            PolicyDispatch::Boxed(p) => p.on_hit(set, way),
-        }
-    }
-
-    /// Records that a new line has just been installed in `way` of `set`.
-    #[inline]
-    pub(crate) fn on_fill(&mut self, set: usize, way: usize) {
-        match self {
-            PolicyDispatch::TreePlru(p) => p.on_fill(set, way),
-            PolicyDispatch::TrueLru(p) => p.on_fill(set, way),
-            PolicyDispatch::Random(p) => p.on_fill(set, way),
-            PolicyDispatch::IntelLike(p) => p.on_fill(set, way),
-            PolicyDispatch::Boxed(p) => p.on_fill(set, way),
-        }
-    }
-
-    /// Records that `way` of `set` was invalidated.
-    #[inline]
-    pub(crate) fn on_invalidate(&mut self, set: usize, way: usize) {
-        match self {
-            PolicyDispatch::TreePlru(p) => p.on_invalidate(set, way),
-            PolicyDispatch::TrueLru(p) => p.on_invalidate(set, way),
-            PolicyDispatch::Random(p) => p.on_invalidate(set, way),
-            PolicyDispatch::IntelLike(p) => p.on_invalidate(set, way),
-            PolicyDispatch::Boxed(p) => p.on_invalidate(set, way),
-        }
-    }
-
-    /// Chooses a victim way within `set`, restricted to `candidates`.
-    #[inline]
-    pub(crate) fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        match self {
-            PolicyDispatch::TreePlru(p) => p.choose_victim(set, candidates),
-            PolicyDispatch::TrueLru(p) => p.choose_victim(set, candidates),
-            PolicyDispatch::Random(p) => p.choose_victim(set, candidates),
-            PolicyDispatch::IntelLike(p) => p.choose_victim(set, candidates),
-            PolicyDispatch::Boxed(p) => p.choose_victim(set, candidates),
-        }
-    }
-
     /// `choose_victim` immediately followed by `on_fill` of the chosen way —
     /// the eviction hot path.  Tree-PLRU fuses the two updates of its
     /// per-set direction word into one read-modify-write; every other policy
     /// runs the two calls back-to-back, so the behaviour is identical for
     /// all variants.
     #[inline]
-    pub(crate) fn choose_victim_and_fill(
-        &mut self,
-        set: usize,
-        candidates: WayMask,
-    ) -> Option<usize> {
+    pub fn choose_victim_and_fill(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
         if let PolicyDispatch::TreePlru(p) = self {
             return p.choose_and_touch(set, candidates);
         }
@@ -278,16 +182,35 @@ impl PolicyDispatch {
         self.on_fill(set, way);
         Some(way)
     }
+}
 
-    /// Resets all metadata to the post-power-on state.
-    pub(crate) fn reset(&mut self) {
-        match self {
-            PolicyDispatch::TreePlru(p) => p.reset(),
-            PolicyDispatch::TrueLru(p) => p.reset(),
-            PolicyDispatch::Random(p) => p.reset(),
-            PolicyDispatch::IntelLike(p) => p.reset(),
-            PolicyDispatch::Boxed(p) => p.reset(),
-        }
+impl ReplacementPolicy for PolicyDispatch {
+    fn name(&self) -> &'static str {
+        dispatch!(self, p => p.name())
+    }
+
+    #[inline]
+    fn on_hit(&mut self, set: usize, way: usize) {
+        dispatch!(self, p => p.on_hit(set, way))
+    }
+
+    #[inline]
+    fn on_fill(&mut self, set: usize, way: usize) {
+        dispatch!(self, p => p.on_fill(set, way))
+    }
+
+    #[inline]
+    fn on_invalidate(&mut self, set: usize, way: usize) {
+        dispatch!(self, p => p.on_invalidate(set, way))
+    }
+
+    #[inline]
+    fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
+        dispatch!(self, p => p.choose_victim(set, candidates))
+    }
+
+    fn reset(&mut self) {
+        dispatch!(self, p => p.reset())
     }
 }
 
@@ -372,13 +295,12 @@ mod tests {
             PolicyKind::TreePlru,
             PolicyKind::Random,
             PolicyKind::IntelLike,
-            PolicyKind::Fifo,
             PolicyKind::Nru,
             PolicyKind::Srrip,
         ];
         for kind in kinds {
             let mut policy = kind.build(4, 8, 0xfeed).unwrap();
-            exercise(policy.as_mut(), 8);
+            exercise(&mut policy, 8);
         }
     }
 
@@ -388,14 +310,6 @@ mod tests {
         assert_eq!(PolicyKind::TreePlru.to_string(), "Tree-PLRU");
         assert_eq!(PolicyKind::Random.label(), "Random");
         assert_eq!(PolicyKind::IntelLike.label(), "Intel-like");
-        assert_eq!(
-            PolicyKind::IntelLikeTuned {
-                mispredict: 0.5,
-                max_staleness: 9
-            }
-            .label(),
-            "Intel-like"
-        );
     }
 
     #[test]

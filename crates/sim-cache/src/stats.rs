@@ -63,16 +63,6 @@ impl CacheStats {
         self.read_hits + self.read_misses
     }
 
-    /// Load miss rate in `[0, 1]`.
-    pub fn load_miss_rate(&self) -> f64 {
-        let loads = self.loads();
-        if loads == 0 {
-            0.0
-        } else {
-            self.read_misses as f64 / loads as f64
-        }
-    }
-
     /// Resets every counter to zero.
     pub fn reset(&mut self) {
         *self = CacheStats::default();
@@ -200,7 +190,6 @@ mod tests {
     fn rates_handle_zero_accesses() {
         let stats = CacheStats::default();
         assert_eq!(stats.miss_rate(), 0.0);
-        assert_eq!(stats.load_miss_rate(), 0.0);
         assert_eq!(stats.accesses(), 0);
     }
 
@@ -216,7 +205,6 @@ mod tests {
         assert_eq!(stats.accesses(), 100);
         assert!((stats.miss_rate() - 0.25).abs() < 1e-12);
         assert_eq!(stats.loads(), 80);
-        assert!((stats.load_miss_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for the cache simulator's core invariants.
 
 use proptest::prelude::*;
+use sim_cache::policy::ReplacementPolicy;
 use sim_cache::prelude::*;
 
 fn arbitrary_policy() -> impl Strategy<Value = PolicyKind> {
@@ -9,7 +10,6 @@ fn arbitrary_policy() -> impl Strategy<Value = PolicyKind> {
         Just(PolicyKind::TreePlru),
         Just(PolicyKind::Random),
         Just(PolicyKind::IntelLike),
-        Just(PolicyKind::Fifo),
         Just(PolicyKind::Nru),
         Just(PolicyKind::Srrip),
     ]
@@ -78,9 +78,10 @@ proptest! {
         prop_assert_eq!(g.line_addr(set, tag), phys.line(g));
     }
 
-    /// After any access sequence the number of dirty lines in a set can never
-    /// exceed the associativity, and a sweep of 10 distinct new lines always
-    /// clears every dirty line (the invariant the WB receiver relies on).
+    /// After any access sequence the set's valid and dirty counts equal a
+    /// recount over its resident tags (so neither can exceed the
+    /// associativity), and a sweep of 10 distinct new lines always clears
+    /// every dirty line (the invariant the WB receiver relies on).
     #[test]
     fn dirty_lines_are_bounded_and_sweepable(
         policy in arbitrary_policy(),
@@ -100,8 +101,14 @@ proptest! {
             } else if cache.lookup_write(addr, ctx).is_none() {
                 cache.fill(addr, ctx, true, false);
             }
-            prop_assert!(cache.dirty_count_in_set(set) <= g.associativity);
-            prop_assert!(cache.valid_count_in_set(set) <= g.associativity);
+            let resident: Vec<PhysAddr> = (0..12u64)
+                .map(|t| PhysAddr::from_set_and_tag(set, t, g))
+                .filter(|&a| cache.contains(a))
+                .collect();
+            let dirty = resident.iter().filter(|&&a| cache.is_dirty(a)).count();
+            prop_assert_eq!(cache.valid_count_in_set(set), resident.len());
+            prop_assert_eq!(cache.dirty_count_in_set(set), dirty);
+            prop_assert!(resident.len() <= g.associativity);
         }
         // Receiver sweep: 10 distinct fresh lines always leave the set clean
         // on the strictly recency-ordered policies.  The guarantee is only
@@ -119,7 +126,7 @@ proptest! {
         }
         let sweep_guaranteed = matches!(
             policy,
-            PolicyKind::TrueLru | PolicyKind::TreePlru | PolicyKind::Fifo
+            PolicyKind::TrueLru | PolicyKind::TreePlru
         );
         if sweep_guaranteed {
             prop_assert_eq!(cache.dirty_count_in_set(set), 0);

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::machine::{Machine, MachineConfig};
     pub use crate::memlayout::{ChannelLayout, SetLines};
     pub use crate::perf::{PerfCounters, PerfLevel};
-    pub use crate::process::{AddressSpace, Process, ProcessId};
+    pub use crate::process::{AddressSpace, ProcessId};
     pub use crate::sched::InterruptConfig;
     pub use crate::session::{Measurement, ProgramReport, SessionReport, TraceProgram, TraceStep};
     pub use crate::telemetry::{BitDecision, Phase, PhaseCycles, TraceEvent, TraceSink};

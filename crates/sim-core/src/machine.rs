@@ -208,12 +208,6 @@ impl Machine {
         self.perf.counters(domain)
     }
 
-    /// Resets all perf counters and hierarchy statistics.
-    pub fn reset_counters(&mut self) {
-        self.perf.reset();
-        self.hierarchy.reset_stats();
-    }
-
     /// Enables telemetry recording (replaces the sink with an active one).
     /// The sink survives [`Machine::reset`]: a session reusing one machine
     /// across frames enables tracing once and drains events per frame with
@@ -235,11 +229,6 @@ impl Machine {
     /// Drains the recorded telemetry events (the sink stays enabled).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.sink.take()
-    }
-
-    /// Advances the clock without doing anything (models pure compute).
-    pub fn advance(&mut self, cycles: u64) {
-        self.now += cycles;
     }
 
     /// Performs a demand load for `domain` and advances the clock.
@@ -1252,15 +1241,5 @@ mod tests {
         assert_eq!(reused.hierarchy().stats(), fresh.hierarchy().stats());
         assert_eq!(reused.perf(2), fresh.perf(2));
         assert_eq!(reused.now(), fresh.now());
-    }
-
-    #[test]
-    fn reset_counters_clears_perf_and_stats() {
-        let mut m = ideal_machine();
-        m.read(1, PhysAddr(0));
-        assert_eq!(m.perf(1).l1_loads, 1);
-        m.reset_counters();
-        assert_eq!(m.perf(1).l1_loads, 0);
-        assert_eq!(m.hierarchy().stats().l1d.accesses(), 0);
     }
 }

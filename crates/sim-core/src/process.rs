@@ -9,8 +9,6 @@
 //! two processes never alias the same physical line.
 
 use sim_cache::addr::{CacheGeometry, PhysAddr};
-use sim_cache::line::DomainId;
-use std::fmt;
 
 /// Bit position at which the process identifier is spliced into physical
 /// addresses.  Leaves 1 TiB of private address space per process.
@@ -19,18 +17,6 @@ pub const ASID_SHIFT: u32 = 40;
 /// A process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u16);
-
-impl fmt::Display for ProcessId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pid{}", self.0)
-    }
-}
-
-impl From<u16> for ProcessId {
-    fn from(value: u16) -> Self {
-        ProcessId(value)
-    }
-}
 
 /// An address space: translates process-local virtual addresses into the
 /// simulator's flat physical space.
@@ -43,11 +29,6 @@ impl AddressSpace {
     /// Creates the address space of `pid`.
     pub fn new(pid: ProcessId) -> AddressSpace {
         AddressSpace { pid }
-    }
-
-    /// The owning process.
-    pub fn pid(self) -> ProcessId {
-        self.pid
     }
 
     /// Translates a virtual address into a physical address.
@@ -70,34 +51,6 @@ impl AddressSpace {
     pub fn addr_for_set(self, set: usize, tag: u64, geometry: CacheGeometry) -> PhysAddr {
         let vaddr = PhysAddr::from_set_and_tag(set, tag, geometry).value();
         self.translate(vaddr)
-    }
-}
-
-/// Descriptive metadata for a simulated process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Process {
-    /// Process identifier.
-    pub pid: ProcessId,
-    /// Human-readable role ("sender", "receiver", "g++", ...).
-    pub name: String,
-    /// Attribution/protection domain used by the cache and perf model.
-    pub domain: DomainId,
-}
-
-impl Process {
-    /// Creates a process descriptor.  The cache-attribution domain is derived
-    /// from the pid so that per-process perf counters stay separable.
-    pub fn new<S: Into<String>>(pid: ProcessId, name: S) -> Process {
-        Process {
-            pid,
-            name: name.into(),
-            domain: pid.0,
-        }
-    }
-
-    /// The process's address space.
-    pub fn address_space(&self) -> AddressSpace {
-        AddressSpace::new(self.pid)
     }
 }
 
@@ -144,14 +97,5 @@ mod tests {
     #[should_panic(expected = "exceeds the simulated address space")]
     fn oversized_virtual_address_panics() {
         AddressSpace::new(ProcessId(0)).translate(1u64 << ASID_SHIFT);
-    }
-
-    #[test]
-    fn process_descriptor_derives_domain_from_pid() {
-        let p = Process::new(ProcessId(9), "sender");
-        assert_eq!(p.domain, 9);
-        assert_eq!(p.address_space().pid(), ProcessId(9));
-        assert_eq!(ProcessId(9).to_string(), "pid9");
-        assert_eq!(ProcessId::from(4u16), ProcessId(4));
     }
 }

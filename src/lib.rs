@@ -11,10 +11,10 @@
 //! * [`sim_core`] — SMT core, TSC, OS-noise and workload substrate.
 //! * [`analysis`] — statistics, thresholds, edit distance, table rendering.
 //! * [`wb_channel`] — the paper's contribution: the WB covert/side channel.
-//! * [`baselines`] — Flush+Reload, Flush+Flush, Prime+Probe, LRU channel.
+//! * [`baselines`] — Prime+Probe and LRU channels, Table I classification.
 //! * [`defenses`] — random-fill, partitioning, PLcache, DAWG, prefetch-guard,
 //!   write-through and fuzzy-time defenses, with an evaluation harness.
-//! * [`runner`] — the scenario registry and work-stealing parallel executor
+//! * [`runner`] — the scenario registry and parallel executor
 //!   behind the `repro` binary (see `docs/ARCHITECTURE.md`).
 //!
 //! ## Quickstart

@@ -1,7 +1,7 @@
 //! Integration tests spanning the defenses, baselines and WB-channel crates.
 
-use dirty_cache_repro::baselines::common::{BaselineChannel, NoiseSpec};
-use dirty_cache_repro::baselines::{classification_table, LruChannel, PrimeProbe, ReuseChannel};
+use dirty_cache_repro::baselines::common::NoiseSpec;
+use dirty_cache_repro::baselines::{classification_table, LruChannel, PrimeProbe};
 use dirty_cache_repro::defenses::{evaluate_defense_majority, Defense, EvaluationConfig};
 
 #[test]
@@ -37,21 +37,17 @@ fn defenses_match_the_papers_verdicts_end_to_end() {
 }
 
 #[test]
-fn every_baseline_channel_transmits_and_respects_its_requirements() {
+fn prime_probe_and_lru_ber_stay_low_and_table_i_lists_wb_as_miss_miss() {
     let bits: Vec<bool> = (0..64).map(|i| i % 3 != 0).collect();
-    let mut channels: Vec<Box<dyn BaselineChannel>> = vec![
-        Box::new(ReuseChannel::flush_reload(1)),
-        Box::new(ReuseChannel::flush_flush(2)),
-        Box::new(ReuseChannel::evict_reload(3)),
-        Box::new(PrimeProbe::new(4)),
-        Box::new(LruChannel::new(5)),
+    let reports = [
+        PrimeProbe::new(4).transmit(&bits).unwrap(),
+        LruChannel::new(5).transmit(&bits).unwrap(),
     ];
-    for channel in channels.iter_mut() {
-        let report = channel.transmit(&bits).unwrap();
+    for report in reports {
         assert!(
             report.bit_error_rate < 0.15,
             "{} BER {}",
-            channel.name(),
+            report.channel,
             report.bit_error_rate
         );
     }
