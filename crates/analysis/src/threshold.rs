@@ -47,15 +47,6 @@ impl BinaryThreshold {
         }
     }
 
-    /// Creates a threshold at an explicit latency value.
-    pub fn at(threshold: f64) -> BinaryThreshold {
-        BinaryThreshold {
-            threshold,
-            mean_zero: f64::NAN,
-            mean_one: f64::NAN,
-        }
-    }
-
     /// The decision boundary.
     pub fn value(&self) -> f64 {
         self.threshold
@@ -148,14 +139,6 @@ mod tests {
         assert!((t.separation() - 20.0).abs() < 1e-12);
         assert!(!t.classify(110.0));
         assert!(t.classify(113.0));
-    }
-
-    #[test]
-    fn explicit_threshold() {
-        let t = BinaryThreshold::at(150.0);
-        assert!(t.classify(151.0));
-        assert!(!t.classify(150.0));
-        assert_eq!(t.value(), 150.0);
     }
 
     #[test]

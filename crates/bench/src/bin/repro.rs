@@ -449,6 +449,17 @@ fn main() -> ExitCode {
                 }
             }
             if verbose {
+                // Host time stays out of the manifest and the telemetry.
+                for run in &runs {
+                    let slowest = run.slowest_point.map_or_else(
+                        || "-".to_owned(),
+                        |(index, ms)| format!("#{index} {ms:.1} ms"),
+                    );
+                    emit(&format_args!(
+                        "host {:<16} points={:<3} point host time={:>8.1} ms slowest point={slowest}",
+                        run.id, run.points, run.point_ms,
+                    ));
+                }
                 let pool = runner::pool::stats().since(&pool_before);
                 emit(&format_args!(
                     "pool: tasks queued={} completed={} panicked={} peak queue depth={}",

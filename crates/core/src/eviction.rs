@@ -45,28 +45,28 @@ pub fn line0_eviction_probability(
     trials: usize,
     seed: u64,
 ) -> Result<EvictionProbability, Error> {
-    let geometry = CacheConfig::xeon_l1d(policy).geometry;
+    let config = CacheConfig::xeon_l1d(policy);
+    let geometry = config.geometry;
+    let ways = geometry.associativity;
     let set = 5usize;
+    let line = |tag: u64| PhysAddr::from_set_and_tag(set, tag, geometry);
     let ctx = AccessContext::default();
+    let mut cache = Cache::new(config, seed)?;
+    // Warm state: the set already holds unrelated lines, touched in a
+    // trial-dependent order (the first `ways` entries, rewritten per trial).
+    // Line 0 is accessed next (the access sequence of Sec. IV-A starts with
+    // it), then the `n` replacement lines fill — all through the batch fill
+    // path.
+    let line0 = line(0);
+    let mut trace = vec![line0; ways + 1];
+    trace.extend((0..n).map(|i| line(1_000 + i as u64)));
     let mut evicted = 0usize;
     for trial in 0..trials {
-        let mut cache = Cache::new(
-            CacheConfig::xeon_l1d(policy),
-            seed.wrapping_add(trial as u64).wrapping_mul(0x9e37_79b9),
-        )?;
-        // Warm state: the set already holds unrelated lines, touched in a
-        // trial-dependent order.  Line 0 is accessed next (the access
-        // sequence of Sec. IV-A starts with it), then the `n` replacement
-        // lines fill — all through the batch fill path.
-        let line0 = PhysAddr::from_set_and_tag(set, 0, geometry);
-        let trace: Vec<PhysAddr> = (0..geometry.associativity)
-            .map(|i| {
-                let tag = 100 + ((i * 5 + trial) % geometry.associativity) as u64;
-                PhysAddr::from_set_and_tag(set, tag, geometry)
-            })
-            .chain(std::iter::once(line0))
-            .chain((0..n).map(|i| PhysAddr::from_set_and_tag(set, 1_000 + i as u64, geometry)))
-            .collect();
+        let trial_seed = seed.wrapping_add(trial as u64).wrapping_mul(0x9e37_79b9);
+        cache.reset(config, trial_seed)?;
+        for (i, addr) in trace[..ways].iter_mut().enumerate() {
+            *addr = line(100 + ((i * 5 + trial) % ways) as u64);
+        }
         cache.fill_all(&trace, ctx, false);
         if !cache.contains(line0) {
             evicted += 1;
@@ -153,40 +153,41 @@ pub fn random_replacement_dirty_eviction(
     let set = 9usize;
     let sender = AccessContext::for_domain(2);
     let receiver = AccessContext::for_domain(1);
+    let line = |tag: u64| PhysAddr::from_set_and_tag(set, tag, geometry);
+    // The set's clean receiver lines, the sender's `d` dirty lines and the
+    // receiver's replacement set of `l` lines are the same in every trial.
+    let init: Vec<PhysAddr> = (0..geometry.associativity)
+        .map(|i| line(500 + i as u64))
+        .collect();
+    let dirty_lines: Vec<PhysAddr> = (0..d).map(|i| line(i as u64)).collect();
+    let replacement: Vec<PhysAddr> = (0..l).map(|i| line(1_000 + i as u64)).collect();
+    let mut cache = Cache::new(config, seed)?;
     let mut hits = 0usize;
     for trial in 0..trials {
-        let mut cache = Cache::new(config, seed.wrapping_add(trial as u64 * 7919))?;
+        cache.reset(config, seed.wrapping_add(trial as u64 * 7919))?;
         // Fill the set with clean receiver lines first (a freshly initialised
         // target set), then the sender dirties d of its own lines.  The paper
         // accesses the dirty lines "in a loop to ensure they are in the
         // target set".
-        let init: Vec<PhysAddr> = (0..geometry.associativity)
-            .map(|i| PhysAddr::from_set_and_tag(set, 500 + i as u64, geometry))
-            .collect();
         cache.fill_all(&init, receiver, false);
-        let dirty_lines: Vec<PhysAddr> = (0..d)
-            .map(|i| PhysAddr::from_set_and_tag(set, i as u64, geometry))
-            .collect();
         // Under random replacement, installing one dirty line can evict
         // another, so (like the paper) the sender accesses its dirty lines
-        // in a loop until all of them are resident simultaneously.
+        // in a loop until all of them are resident simultaneously.  Each
+        // pass refills the lines that were missing when it began (bit `i`
+        // of `missing` is dirty line `i`; `d` is at most the associativity,
+        // so it fits a `u64`).
         for _pass in 0..256 {
-            let missing: Vec<PhysAddr> = dirty_lines
-                .iter()
-                .copied()
-                .filter(|&line| !cache.is_dirty(line))
-                .collect();
-            if missing.is_empty() {
+            let missing = (0..d)
+                .filter(|&i| !cache.is_dirty(dirty_lines[i]))
+                .fold(0u64, |mask, i| mask | 1 << i);
+            if missing == 0 {
                 break;
             }
-            for line in missing {
-                cache.fill(line, sender, true, false);
+            for i in (0..d).filter(|&i| missing >> i & 1 == 1) {
+                cache.fill(dirty_lines[i], sender, true, false);
             }
         }
         // The receiver accesses its replacement set of l lines.
-        let replacement: Vec<PhysAddr> = (0..l)
-            .map(|i| PhysAddr::from_set_and_tag(set, 1_000 + i as u64, geometry))
-            .collect();
         cache.fill_all(&replacement, receiver, false);
         // At least one dirty line replaced?
         if cache.dirty_count_in_set(set) < d {

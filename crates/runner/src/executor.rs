@@ -44,6 +44,13 @@ pub struct ScenarioRun {
     /// The only non-deterministic field of a run: everything else is a pure
     /// function of `(root seed, scale)`.
     pub wall_ms: f64,
+    /// The points' own host times summed, in milliseconds; unlike
+    /// `wall_ms` it does not shrink when points run in parallel. Varies
+    /// between runs like `wall_ms`, so it stays out of the manifest.
+    pub point_ms: f64,
+    /// The slowest point as `(index, host ms)`; `None` when no point
+    /// finished.
+    pub slowest_point: Option<(usize, f64)>,
     /// `(output stem, table)` pairs, primary table first. Empty on error.
     pub tables: Vec<(String, Table)>,
     /// The first point error, if any point failed.
@@ -155,6 +162,14 @@ pub fn execute(scenarios: &[&Scenario], config: &RunConfig) -> Vec<ScenarioRun> 
             // neutral timing elements are left.
             (finished - started).max(0.0)
         };
+        // A panicked point's neutral timing elements give a negative span.
+        let point_times = group
+            .iter()
+            .map(|p| p.finished_ms - p.started_ms)
+            .enumerate()
+            .filter(|&(_, ms)| ms >= 0.0);
+        let point_ms = point_times.clone().map(|(_, ms)| ms).sum();
+        let slowest_point = point_times.max_by(|a, b| a.1.total_cmp(&b.1));
         let error = group.iter().find_map(|p| p.output.as_ref().err()).cloned();
         let (tables, sim_cycles, sim_accesses, phase_cycles) = if error.is_some() {
             (Vec::new(), 0, 0, [0u64; PHASE_COUNT])
@@ -185,6 +200,8 @@ pub fn execute(scenarios: &[&Scenario], config: &RunConfig) -> Vec<ScenarioRun> 
             seed: scenario.manifest_seed(config.root_seed),
             points: point_counts[si],
             wall_ms,
+            point_ms,
+            slowest_point,
             tables,
             error,
             sim_cycles,
@@ -256,6 +273,21 @@ mod tests {
         let single = run_at(1);
         assert_eq!(single, run_at(8));
         assert_eq!(single, run_at(3));
+    }
+
+    #[test]
+    fn point_host_times_name_the_slowest_point() {
+        let scenario = seed_echo_scenario();
+        let config = RunConfig {
+            scale: Scale::Quick,
+            threads: 2,
+            root_seed: 2022,
+            progress: false,
+        };
+        let run = execute(&[&scenario], &config).remove(0);
+        let (index, slowest_ms) = run.slowest_point.expect("four points ran");
+        assert!(index < run.points);
+        assert!(slowest_ms >= 0.0 && run.point_ms >= slowest_ms);
     }
 
     #[test]
@@ -338,6 +370,8 @@ mod tests {
             assert!(error.contains("deliberate test panic"), "{error}");
             assert!(runs[0].tables.is_empty());
             assert!(runs[0].wall_ms >= 0.0, "threads={threads}");
+            assert_eq!(runs[0].point_ms, 0.0, "threads={threads}");
+            assert_eq!(runs[0].slowest_point, None, "threads={threads}");
             assert!(runs[1].error.is_none(), "threads={threads}");
             assert_eq!(runs[1].tables.len(), 1);
             // The panic went through the pool's guard, so it is visible in

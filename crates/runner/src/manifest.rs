@@ -93,6 +93,8 @@ mod tests {
             seed: 0xabcd,
             points: 3,
             wall_ms: 1.25,
+            point_ms: 2.5,
+            slowest_point: Some((1, 1.0)),
             sim_cycles: 0,
             sim_accesses: 0,
             phase_cycles: [1, 2, 3, 4, 5, 6, 7],

@@ -201,11 +201,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets the statistics counters (not the cache contents).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
     /// Restricts `domain` to the given ways for fills and victim selection.
     ///
     /// # Errors

@@ -347,14 +347,6 @@ impl CacheHierarchy {
         stats
     }
 
-    /// Resets all statistics counters (cache contents are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-        self.l1d.reset_stats();
-        self.l2.reset_stats();
-        self.llc.reset_stats();
-    }
-
     /// Invalidates every level (used between experiment repetitions).
     pub fn clear(&mut self) {
         self.l1d.clear();
@@ -1042,7 +1034,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_and_reset() {
+    fn stats_accumulate() {
         let mut h = hierarchy(PolicyKind::TreePlru);
         let ctx = AccessContext::default();
         for t in 0..32u64 {
@@ -1052,10 +1044,6 @@ mod tests {
         assert_eq!(stats.l1d.read_misses, 32);
         assert!(stats.memory_accesses >= 32);
         assert!(stats.total_cycles > 0);
-        h.reset_stats();
-        let stats = h.stats();
-        assert_eq!(stats.l1d.accesses(), 0);
-        assert_eq!(stats.total_cycles, 0);
     }
 
     /// A 1-way, 1-set hierarchy at every level: eviction chains are exact.

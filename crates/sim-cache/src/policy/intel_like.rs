@@ -99,8 +99,9 @@ impl IntelLike {
         self.max_staleness
     }
 
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
+    /// The staleness counters of `set`'s ways.
+    fn staleness_row(&mut self, set: usize) -> &mut [u32] {
+        &mut self.staleness[set * self.ways..(set + 1) * self.ways]
     }
 }
 
@@ -111,27 +112,22 @@ impl ReplacementPolicy for IntelLike {
 
     fn on_hit(&mut self, set: usize, way: usize) {
         self.plru.on_hit(set, way);
-        let idx = self.idx(set, way);
-        self.staleness[idx] = 0;
+        self.staleness_row(set)[way] = 0;
     }
 
     fn on_fill(&mut self, set: usize, way: usize) {
         self.plru.on_fill(set, way);
         // Every other way in the set ages by one fill; the filled way resets.
-        for w in 0..self.ways {
-            let idx = self.idx(set, w);
-            if w == way {
-                self.staleness[idx] = 0;
-            } else {
-                self.staleness[idx] = self.staleness[idx].saturating_add(1);
-            }
+        let row = self.staleness_row(set);
+        for staleness in row.iter_mut() {
+            *staleness = staleness.saturating_add(1);
         }
+        row[way] = 0;
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
         self.plru.on_invalidate(set, way);
-        let idx = self.idx(set, way);
-        self.staleness[idx] = 0;
+        self.staleness_row(set)[way] = 0;
     }
 
     fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
@@ -142,20 +138,22 @@ impl ReplacementPolicy for IntelLike {
         // Anti-starvation: a way that survived `max_staleness` fills is
         // evicted unconditionally (this is what makes a 10-line replacement
         // set reliable in the paper's measurements).  Among several stale
-        // ways the most stale one goes first.
-        let most_stale = mask
-            .iter()
-            .max_by_key(|&w| self.staleness[self.idx(set, w)])
-            .filter(|&w| self.staleness[self.idx(set, w)] >= self.max_staleness);
-        if let Some(stale) = most_stale {
-            return Some(stale);
+        // ways the most stale one goes first, the highest way on a tie.
+        let row = self.staleness_row(set);
+        let mut most_stale = (0, 0);
+        for way in mask.iter() {
+            if row[way] >= most_stale.1 {
+                most_stale = (way, row[way]);
+            }
+        }
+        if most_stale.1 >= self.max_staleness {
+            return Some(most_stale.0);
         }
         let plru_choice = self.plru.choose_victim(set, mask)?;
-        if mask.count() > 1 && self.rng.chance(self.mispredict) {
+        let others = mask.without(plru_choice);
+        if !others.is_empty() && self.rng.chance(self.mispredict) {
             // Deviate: pick uniformly among the other candidates.
-            let others: Vec<usize> = mask.iter().filter(|&w| w != plru_choice).collect();
-            let pick = others[self.rng.below(others.len())];
-            return Some(pick);
+            return others.nth(self.rng.below(others.count()));
         }
         Some(plru_choice)
     }

@@ -20,7 +20,10 @@
 //!
 //! Every policy implements [`ReplacementPolicy`]; a [`crate::cache::Cache`]
 //! holds one through the [`PolicyDispatch`] enum that [`PolicyKind::build`]
-//! returns.
+//! returns.  Hits, fills and victim selection never allocate: victims are
+//! chosen by walking the candidate [`WayMask`] over the set's metadata row,
+//! and random draws over a power-of-two number of ways mask instead of
+//! dividing.
 
 mod intel_like;
 mod lru;
@@ -242,9 +245,19 @@ impl PolicyRng {
     }
 
     /// Uniform value in `[0, bound)`; `bound` must be non-zero.
+    ///
+    /// A power-of-two bound (every full set of the registry's caches) masks
+    /// instead of paying a 64-bit division; both give `next_u64() % bound`.
     pub(crate) fn below(&mut self, bound: usize) -> usize {
         debug_assert!(bound > 0);
-        (self.next_u64() % bound as u64) as usize
+        let x = self.next_u64();
+        let bound = bound as u64;
+        let value = if bound.is_power_of_two() {
+            x & (bound - 1)
+        } else {
+            x % bound
+        };
+        value as usize
     }
 
     /// Bernoulli draw with probability `p`.
@@ -330,6 +343,19 @@ mod tests {
         }
         assert!(!a.chance(0.0));
         assert!(a.chance(1.0));
+    }
+
+    #[test]
+    fn below_equals_the_modulo_of_the_next_draw_for_every_bound() {
+        for bound in 1..=64usize {
+            let mut fast = PolicyRng::new(bound as u64);
+            let mut reference = fast.clone();
+            for _ in 0..2000 {
+                let expected = (reference.next_u64() % bound as u64) as usize;
+                assert_eq!(fast.below(bound), expected, "bound {bound}");
+            }
+            assert_eq!(fast, reference, "bound {bound}: one draw per call");
+        }
     }
 
     #[test]

@@ -24,10 +24,6 @@ impl Nru {
             referenced: vec![false; num_sets * ways],
         }
     }
-
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
-    }
 }
 
 impl ReplacementPolicy for Nru {
@@ -36,37 +32,28 @@ impl ReplacementPolicy for Nru {
     }
 
     fn on_hit(&mut self, set: usize, way: usize) {
-        let idx = self.idx(set, way);
-        self.referenced[idx] = true;
+        self.referenced[set * self.ways + way] = true;
     }
 
     fn on_fill(&mut self, set: usize, way: usize) {
-        let idx = self.idx(set, way);
-        self.referenced[idx] = true;
+        self.referenced[set * self.ways + way] = true;
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
-        let idx = self.idx(set, way);
-        self.referenced[idx] = false;
+        self.referenced[set * self.ways + way] = false;
     }
 
     fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        let candidates: Vec<usize> = candidates.iter().filter(|&w| w < self.ways).collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        if let Some(&way) = candidates
-            .iter()
-            .find(|&&w| !self.referenced[set * self.ways + w])
-        {
+        let mask = candidates.and(WayMask::all(self.ways));
+        let first = mask.first()?;
+        let row = &mut self.referenced[set * self.ways..(set + 1) * self.ways];
+        if let Some(way) = mask.iter().find(|&w| !row[w]) {
             return Some(way);
         }
         // All candidates referenced: clear the whole set's bits (the classic
         // NRU "generation" reset) and pick the first candidate.
-        for w in 0..self.ways {
-            self.referenced[set * self.ways + w] = false;
-        }
-        candidates.first().copied()
+        row.fill(false);
+        Some(first)
     }
 
     fn reset(&mut self) {

@@ -29,10 +29,6 @@ impl Srrip {
             rrpv: vec![MAX_RRPV; num_sets * ways],
         }
     }
-
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
-    }
 }
 
 impl ReplacementPolicy for Srrip {
@@ -41,37 +37,31 @@ impl ReplacementPolicy for Srrip {
     }
 
     fn on_hit(&mut self, set: usize, way: usize) {
-        let idx = self.idx(set, way);
-        self.rrpv[idx] = 0;
+        self.rrpv[set * self.ways + way] = 0;
     }
 
     fn on_fill(&mut self, set: usize, way: usize) {
-        let idx = self.idx(set, way);
-        self.rrpv[idx] = INSERT_RRPV;
+        self.rrpv[set * self.ways + way] = INSERT_RRPV;
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
-        let idx = self.idx(set, way);
-        self.rrpv[idx] = MAX_RRPV;
+        self.rrpv[set * self.ways + way] = MAX_RRPV;
     }
 
     fn choose_victim(&mut self, set: usize, candidates: WayMask) -> Option<usize> {
-        let candidates: Vec<usize> = candidates.iter().filter(|&w| w < self.ways).collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        loop {
-            if let Some(&way) = candidates
-                .iter()
-                .find(|&&w| self.rrpv[set * self.ways + w] >= MAX_RRPV)
-            {
-                return Some(way);
-            }
-            for &w in &candidates {
-                let idx = self.idx(set, w);
-                self.rrpv[idx] = (self.rrpv[idx] + 1).min(MAX_RRPV);
+        let mask = candidates.and(WayMask::all(self.ways));
+        let row = &mut self.rrpv[set * self.ways..(set + 1) * self.ways];
+        // Ageing every candidate by one until one reaches MAX_RRPV is the
+        // same as ageing them all at once by the oldest candidate's distance
+        // to MAX_RRPV: no RRPV exceeds MAX_RRPV, so nothing saturates early.
+        let oldest = mask.iter().map(|w| row[w]).max()?;
+        let age = MAX_RRPV.saturating_sub(oldest);
+        if age > 0 {
+            for w in mask.iter() {
+                row[w] += age;
             }
         }
+        mask.iter().find(|&w| row[w] >= MAX_RRPV)
     }
 
     fn reset(&mut self) {

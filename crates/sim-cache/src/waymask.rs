@@ -126,8 +126,12 @@ impl WayMask {
     /// Returns the `n`-th enabled way (0-based), if any.
     ///
     /// Used by random-replacement policies to pick a victim uniformly among
-    /// the candidate ways.
+    /// the candidate ways.  A contiguous mask from way 0 (`WayMask::all(k)`,
+    /// every unpartitioned set) answers without iterating.
     pub fn nth(self, n: usize) -> Option<usize> {
+        if self.0 & self.0.wrapping_add(1) == 0 {
+            return (n < self.count()).then_some(n);
+        }
         self.iter().nth(n)
     }
 }
@@ -289,6 +293,16 @@ mod tests {
         assert_eq!(mask.first(), Some(1));
         assert_eq!(mask.nth(2), Some(5));
         assert_eq!(mask.nth(4), None);
+    }
+
+    #[test]
+    fn nth_of_a_contiguous_mask_equals_iteration() {
+        for ways in 0..=64 {
+            let mask = WayMask::all(ways);
+            for n in 0..=ways + 1 {
+                assert_eq!(mask.nth(n), mask.iter().nth(n), "all({ways}).nth({n})");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property-based tests for the cache simulator's core invariants.
 
+mod reference;
+
 use proptest::prelude::*;
-use sim_cache::policy::ReplacementPolicy;
+use sim_cache::policy::{IntelLike, Nru, ReplacementPolicy, Srrip};
 use sim_cache::prelude::*;
 
 fn arbitrary_policy() -> impl Strategy<Value = PolicyKind> {
@@ -64,8 +66,99 @@ fn hierarchy_for(
     CacheHierarchy::new(config).unwrap()
 }
 
+/// Candidate masks for the differential policy test: every way, the two
+/// NoMo/DAWG halves of an 8-way set, and arbitrary bits — PLcache-style
+/// masks with locked ways removed, the empty mask, and bits beyond the
+/// associativity that the policies must ignore.
+fn arbitrary_candidates() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(u64::MAX),
+        Just(0x0fu64),
+        Just(0xf0u64),
+        0u64..256,
+        any::<u64>(),
+    ]
+}
+
+/// Calls of the differential policy test: `(kind, set, way, candidate bits)`
+/// over two sets; `kind` weights hits, fills, invalidations, victim choices,
+/// victim-then-fill (the cache's eviction path) and a rare reset.
+fn policy_calls() -> impl Strategy<Value = Vec<(u8, usize, usize, u64)>> {
+    proptest::collection::vec(
+        (0u8..32, 0usize..2, 0usize..64, arbitrary_candidates()),
+        1..400,
+    )
+}
+
+/// Drives `policy` and its allocating `reference` copy with the same
+/// `calls` and asserts equal victims and, after every call, equal state.
+fn assert_same_as_reference(
+    policy: &mut dyn ReplacementPolicy,
+    reference: &mut dyn ReplacementPolicy,
+    ways: usize,
+    calls: &[(u8, usize, usize, u64)],
+) {
+    for (step, &(kind, set, way, bits)) in calls.iter().enumerate() {
+        let way = way % ways;
+        let candidates = WayMask::from_bits(bits);
+        match kind {
+            0..=5 => {
+                policy.on_hit(set, way);
+                reference.on_hit(set, way);
+            }
+            6..=13 => {
+                policy.on_fill(set, way);
+                reference.on_fill(set, way);
+            }
+            14..=15 => {
+                policy.on_invalidate(set, way);
+                reference.on_invalidate(set, way);
+            }
+            16..=30 => {
+                let victim = policy.choose_victim(set, candidates);
+                let expected = reference.choose_victim(set, candidates);
+                prop_assert_eq!(victim, expected, "step {}", step);
+                if let (23.., Some(victim)) = (kind, victim) {
+                    policy.on_fill(set, victim);
+                    reference.on_fill(set, victim);
+                }
+            }
+            _ => {
+                policy.reset();
+                reference.reset();
+            }
+        }
+        prop_assert_eq!(
+            format!("{policy:?}"),
+            format!("{reference:?}"),
+            "{} state after step {}",
+            policy.name(),
+            step
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// NRU, SRRIP and Intel-like select the same victims and keep the same
+    /// state as their original `Vec`-collecting implementations, under
+    /// arbitrary hit/fill/invalidate/victim sequences and candidate masks.
+    #[test]
+    fn allocation_free_policies_match_their_reference(
+        ways in prop_oneof![Just(4usize), Just(8usize), Just(16usize)],
+        calls in policy_calls(),
+        seed in any::<u64>(),
+    ) {
+        assert_same_as_reference(&mut Nru::new(2, ways), &mut reference::Nru::new(2, ways), ways, &calls);
+        assert_same_as_reference(&mut Srrip::new(2, ways), &mut reference::Srrip::new(2, ways), ways, &calls);
+        assert_same_as_reference(
+            &mut IntelLike::new(2, ways, seed).unwrap(),
+            &mut reference::IntelLike::new(2, ways, seed),
+            ways,
+            &calls,
+        );
+    }
 
     /// The set index and tag always reconstruct the original line address.
     #[test]
